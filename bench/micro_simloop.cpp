@@ -96,9 +96,11 @@ using namespace dice::bench;
  * reference) enforced by `--check`. The dense-set + FlatMap storage
  * brought the node-map model's ~1.9 down to ~0.12; replacing the
  * core model's in-flight deque with a fixed ring removed the
- * remaining block churn, so the budget tightens accordingly.
+ * remaining block churn (~0.0008 measured), and the fixed-size set
+ * records with a shared overflow pool removed the last per-set
+ * allocations (~0.0000), so the budget tightens accordingly.
  */
-constexpr double kMaxSteadyAllocsPerRef = 0.12;
+constexpr double kMaxSteadyAllocsPerRef = 0.001;
 
 /** Workload every sim-loop benchmark replays (paper Table 3's mcf). */
 constexpr const char *kWorkload = "mcf";
@@ -348,45 +350,58 @@ DICE_SIM_BENCH(touche);
 #undef DICE_SIM_BENCH
 
 /**
- * The TAD-set scan kernels in isolation: per iteration one hit probe,
- * one miss probe, and one evict + refill on a full wide set (SCC
- * geometry, 32 items — the worst-case scan length). Run it with
+ * The TAD-set scans in isolation: per iteration one hit probe, one
+ * miss probe, and one evict + refill that keeps occupancy at
+ * @p items. `inline` is a full inline record (kTadInlineItems items,
+ * the common case: the scans touch the record alone); `spilled` is a
+ * full wide set in the overflow pool (32 items, as in an SCC set — the
+ * worst-case scan length). Both use the dispatched kernels. Run it with
  * DICE_FORCE_SCALAR=1 to see the dispatched-vs-scalar kernel delta
  * without the rest of the simulator in the way.
  */
 void
-BM_SetScan(benchmark::State &state)
+BM_SetScan(benchmark::State &state, std::uint32_t items)
 {
-    constexpr std::uint32_t kItems = 32;
-    dice::TadSet set(/*budget_bytes=*/kItems * dice::kAlloyTagBytes,
-                     /*max_lines=*/kItems,
-                     /*tag_bytes=*/dice::kAlloyTagBytes);
-    for (std::uint32_t i = 0; i < kItems; ++i)
+    dice::TadSetArray sets(1, dice::TadGeometry{
+                                  /*budget_bytes=*/items *
+                                      dice::kAlloyTagBytes,
+                                  /*max_lines=*/items,
+                                  /*tag_bytes=*/dice::kAlloyTagBytes});
+    dice::TadSetRef set = sets[0];
+    for (std::uint32_t i = 0; i < items; ++i)
         set.insertSingle(/*line=*/std::uint64_t{i} * 2, /*data_bytes=*/0,
                          /*dirty=*/false, /*payload=*/i, /*bai=*/false,
                          /*lru_stamp=*/i + 1);
+    const bool spilled = items > dice::kTadInlineItems;
+    if (set.spilled() != spilled) {
+        state.SkipWithError("set not in the benchmarked storage state");
+        return;
+    }
 
     dice::WritebackList wbs;
-    std::uint64_t stamp = kItems;
-    std::uint64_t hit_line = 2 * (kItems - 1);
+    std::uint64_t stamp = items;
+    std::uint64_t hit_line = 2 * (items - 1);
     for (auto _ : state) {
         const dice::TadLookup hit = set.lookup(hit_line);
         benchmark::DoNotOptimize(hit.found);
         const dice::TadLookup miss = set.lookup(std::uint64_t{1} << 40);
         benchmark::DoNotOptimize(miss.found);
         wbs.clear();
-        // Evict the LRU item and refill so occupancy stays at kItems.
+        // Evict the LRU item and refill so occupancy stays at items.
         set.evictLru(hit_line, wbs);
         ++stamp;
         set.insertSingle(stamp * 2, 0, false, stamp, false, stamp);
         hit_line = stamp * 2;
     }
+    if (set.spilled() != spilled)
+        state.SkipWithError("set changed storage state mid-run");
     state.SetLabel(dice::simd::backendName());
     state.counters["scans_per_sec"] = benchmark::Counter(
         3.0 * static_cast<double>(state.iterations()),
         benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SetScan);
+BENCHMARK_CAPTURE(BM_SetScan, inline, dice::kTadInlineItems);
+BENCHMARK_CAPTURE(BM_SetScan, spilled, 32u);
 
 /**
  * Batched size-only codec route over a class-diverse line batch —
@@ -476,7 +491,7 @@ runCheck()
                 short_allocs);
     std::printf("  allocs long run  (%llu refs/core): %zu\n",
                 static_cast<unsigned long long>(kLongRefs), long_allocs);
-    std::printf("  steady-state allocs/ref: %.4f (budget %.2f)\n",
+    std::printf("  steady-state allocs/ref: %.4f (budget %.3f)\n",
                 per_ref, kMaxSteadyAllocsPerRef);
 
     if (per_ref > kMaxSteadyAllocsPerRef) {

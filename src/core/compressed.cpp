@@ -121,8 +121,11 @@ CompressedDramCache::sizeOf(LineAddr line, std::uint64_t payload) const
     // size-only codec route below performs no heap allocation, so the
     // whole lookup path is allocation-free.
     const std::uint64_t key = mix64(line, payload);
-    if (const std::uint32_t *hit = size_cache_.find(key))
+    if (const std::uint32_t *hit = size_cache_.find(key)) {
+        ++size_memo_hits_;
         return *hit;
+    }
+    ++size_memo_misses_;
     const std::uint32_t size =
         codec_.compressedSizeBytes(source_.bytes(line, payload));
     size_cache_.put(key, size);
@@ -135,8 +138,11 @@ CompressedDramCache::pairSizeOf(LineAddr base, std::uint64_t even_payload,
 {
     const std::uint64_t key =
         mix64(mix64(base, even_payload), odd_payload);
-    if (const std::uint32_t *hit = pair_size_cache_.find(key))
+    if (const std::uint32_t *hit = pair_size_cache_.find(key)) {
+        ++pair_memo_hits_;
         return *hit;
+    }
+    ++pair_memo_misses_;
 
     // The single-line sizes usually sit in the size memo (the line
     // being installed was just sized; its neighbor was sized when it
@@ -167,6 +173,9 @@ CompressedDramCache::pairSizeOf(LineAddr base, std::uint64_t even_payload,
         else
             missed |= 1u << h;
     }
+    const std::uint32_t half_misses = popcount64(missed);
+    size_memo_misses_ += half_misses;
+    size_memo_hits_ += 2 - half_misses;
     if (missed == 3) {
         // Both halves miss: derive them together and size them through
         // the codec's batched route (one classification pass setup).
@@ -285,13 +294,13 @@ CompressedDramCache::read(LineAddr line, Cycle now)
 }
 
 void
-CompressedDramCache::removeResident(TadSet &set, LineAddr line)
+CompressedDramCache::removeResident(TadSetRef set, LineAddr line)
 {
     removeResident(set, line, set.lookup(line));
 }
 
 void
-CompressedDramCache::removeResident(TadSet &set, LineAddr line,
+CompressedDramCache::removeResident(TadSetRef set, LineAddr line,
                                     const TadLookup &lk)
 {
     dice_assert(lk.found, "removeResident of absent line");
@@ -391,7 +400,7 @@ CompressedDramCache::install(LineAddr line, std::uint64_t payload,
         target_lk = sets_[target].lookup(line);
     }
 
-    TadSet &set = sets_[target];
+    TadSetRef set = sets_[target];
 
     // An update of a resident line is a remove + reinsert with the new
     // compressed size (its old copy is superseded, never written back).
@@ -495,10 +504,7 @@ CompressedDramCache::validLines() const
 std::uint64_t
 CompressedDramCache::bytesUsed() const
 {
-    std::uint64_t total = 0;
-    for (const TadSet &set : sets_)
-        total += set.bytesUsed();
-    return total;
+    return sets_.bytesUsed();
 }
 
 void
@@ -507,6 +513,8 @@ CompressedDramCache::resetStats()
     DramCache::resetStats();
     installs_invariant_ = installs_bai_ = installs_tsi_ = 0;
     pair_installs_ = second_probes_ = duplicate_scrubs_ = 0;
+    size_memo_hits_ = size_memo_misses_ = 0;
+    pair_memo_hits_ = pair_memo_misses_ = 0;
     cip_.resetStats();
 }
 
@@ -530,6 +538,18 @@ CompressedDramCache::stats() const
                  [this]() { return cip_.readAccuracy(); });
     g.addFormula("cip_write_accuracy",
                  [this]() { return cip_.writeAccuracy(); });
+    g.addFormula("size_memo_hits",
+                 [this]() { return double(size_memo_hits_); });
+    g.addFormula("size_memo_misses",
+                 [this]() { return double(size_memo_misses_); });
+    g.addFormula("pair_memo_hits",
+                 [this]() { return double(pair_memo_hits_); });
+    g.addFormula("pair_memo_misses",
+                 [this]() { return double(pair_memo_misses_); });
+    g.addFormula("spilled_sets",
+                 [this]() { return double(sets_.spilledSets()); });
+    g.addFormula("overflow_pool_bytes",
+                 [this]() { return double(sets_.poolBytes()); });
     return g;
 }
 

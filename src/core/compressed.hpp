@@ -19,8 +19,6 @@
 #ifndef DICE_CORE_COMPRESSED_HPP
 #define DICE_CORE_COMPRESSED_HPP
 
-#include <vector>
-
 #include "common/flat_map.hpp"
 #include "common/ring_trace.hpp"
 #include "compress/hybrid.hpp"
@@ -166,14 +164,14 @@ class CompressedDramCache : public DramCache
      * Remove @p line from @p set, recomputing the surviving half's
      * single-line size when the line was in a pair.
      */
-    void removeResident(TadSet &set, LineAddr line);
+    void removeResident(TadSetRef set, LineAddr line);
 
     /**
      * removeResident() with @p line's lookup in @p set already in hand
      * (and still valid — no mutation of @p set since): skips the
      * re-scan install's membership probes already paid for.
      */
-    void removeResident(TadSet &set, LineAddr line, const TadLookup &lk);
+    void removeResident(TadSetRef set, LineAddr line, const TadLookup &lk);
 
     std::uint32_t readBytes() const { return cfg_.knl_mode ? 72 : 80; }
 
@@ -185,7 +183,7 @@ class CompressedDramCache : public DramCache
     Cip cip_;
 
     /** Dense per-set state, directly indexed by set number. */
-    std::vector<TadSet> sets_;
+    TadSetArray sets_;
     /**
      * Memoized compressed sizes keyed by mix64(line, version) (already
      * mixed, hence PreHashed). Bounded and generation-versioned: a
@@ -207,6 +205,11 @@ class CompressedDramCache : public DramCache
      */
     mutable BoundedMemo<std::uint64_t, std::uint32_t, true>
         pair_size_cache_{12};
+    /** Probe outcomes of the two memos (exported as l4 stats). */
+    mutable std::uint64_t size_memo_hits_ = 0;
+    mutable std::uint64_t size_memo_misses_ = 0;
+    mutable std::uint64_t pair_memo_hits_ = 0;
+    mutable std::uint64_t pair_memo_misses_ = 0;
     std::uint64_t lru_clock_ = 0;
     /** Resident logical lines, maintained across install's mutations. */
     std::uint64_t valid_lines_ = 0;

@@ -15,9 +15,9 @@ SccCache::SccCache(const DramCacheConfig &config,
       num_sets_(config.capacity / kLineSize / kWays),
       mapper_(config.timing), source_(source),
       sets_(config.capacity / kLineSize / kWays,
-            TadSet(/*budget=*/kWays * kTadSetBytes,
-                   /*max_lines=*/kWays * 4,
-                   /*tag_bytes=*/2))
+            TadGeometry{/*budget_bytes=*/kWays * kTadSetBytes,
+                        /*max_lines=*/kWays * 4,
+                        /*tag_bytes=*/2})
 {
     dice_assert(num_sets_ > 0, "SCC cache too small");
 }
@@ -61,7 +61,7 @@ SccCache::read(LineAddr line, Cycle now)
     res.dram_accesses = 0;
     const Cycle tags_done = probeTags(set, now, res.dram_accesses, true);
 
-    TadSet &state = sets_[set];
+    TadSetRef state = sets_[set];
     const TadLookup lk = state.lookup(line);
     if (!lk.found) {
         res.done = tags_done + config_.controller_latency;
@@ -97,7 +97,7 @@ SccCache::install(LineAddr line, std::uint64_t payload, bool dirty,
     if (!after_read_miss)
         when = probeTags(set, now, res.dram_accesses, false);
 
-    TadSet &state = sets_[set];
+    TadSetRef state = sets_[set];
     const std::uint32_t lines_before = state.lineCount();
     const std::uint32_t size =
         codec_.compressedSizeBytes(source_.bytes(line, payload));
@@ -129,6 +129,17 @@ std::uint64_t
 SccCache::validLines() const
 {
     return valid_lines_;
+}
+
+StatGroup
+SccCache::stats() const
+{
+    StatGroup g = DramCache::stats();
+    g.addFormula("spilled_sets",
+                 [this]() { return double(sets_.spilledSets()); });
+    g.addFormula("overflow_pool_bytes",
+                 [this]() { return double(sets_.poolBytes()); });
+    return g;
 }
 
 } // namespace dice

@@ -22,8 +22,6 @@
 #ifndef DICE_CORE_SCC_HPP
 #define DICE_CORE_SCC_HPP
 
-#include <vector>
-
 #include "compress/hybrid.hpp"
 #include "core/data_source.hpp"
 #include "core/dram_cache.hpp"
@@ -46,6 +44,7 @@ class SccCache : public DramCache
     bool contains(LineAddr line) const override;
     std::uint64_t validLines() const override;
     const char *organization() const override { return "scc"; }
+    StatGroup stats() const override;
 
   private:
     static constexpr std::uint32_t kWays = 8;
@@ -63,7 +62,7 @@ class SccCache : public DramCache
     const LineDataSource &source_;
     HybridCodec codec_;
     /** Dense per-set state, directly indexed by set number. */
-    std::vector<TadSet> sets_;
+    TadSetArray sets_;
     std::uint64_t lru_clock_ = 0;
     /** Resident logical lines, maintained across install's mutations. */
     std::uint64_t valid_lines_ = 0;

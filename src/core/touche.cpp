@@ -17,8 +17,8 @@ ToucheCache::ToucheCache(const DramCacheConfig &config,
                      ? ~std::uint32_t{0}
                      : (std::uint32_t{1} << params.signature_bits) - 1)),
       sets_(config.capacity / kLineSize,
-            TadSet(kTadSetBytes, kTadMaxLines,
-                   /*tag_bytes=*/kSignatureTagBytes))
+            TadGeometry{kTadSetBytes, kTadMaxLines,
+                        /*tag_bytes=*/kSignatureTagBytes})
 {
     dice_assert(isPowerOfTwo(config.capacity / kLineSize),
                 "Touché cache needs a power-of-two set count");
@@ -34,7 +34,7 @@ ToucheCache::signatureOf(LineAddr line) const
 }
 
 bool
-ToucheCache::aliased(const TadSet &set, LineAddr line) const
+ToucheCache::aliased(TadSetView set, LineAddr line) const
 {
     const std::uint32_t sig = signatureOf(line);
     const std::uint32_t n = set.itemCount();
@@ -50,8 +50,11 @@ std::uint32_t
 ToucheCache::sizeOf(LineAddr line, std::uint64_t payload) const
 {
     const std::uint64_t key = mix64(line, payload);
-    if (const std::uint32_t *hit = size_cache_.find(key))
+    if (const std::uint32_t *hit = size_cache_.find(key)) {
+        ++size_memo_hits_;
         return *hit;
+    }
+    ++size_memo_misses_;
     const std::uint32_t size =
         codec_.compressedSizeBytes(source_.bytes(line, payload));
     size_cache_.put(key, size);
@@ -62,7 +65,7 @@ L4ReadResult
 ToucheCache::read(LineAddr line, Cycle now)
 {
     const std::uint64_t set_idx = indexer_.tsi(line);
-    TadSet &set = sets_[set_idx];
+    TadSetRef set = sets_[set_idx];
 
     L4ReadResult res;
     // The 80-B Alloy-style burst streams the TAD and its signature
@@ -110,7 +113,7 @@ ToucheCache::install(LineAddr line, std::uint64_t payload, bool dirty,
 {
     ++installs_;
     const std::uint64_t set_idx = indexer_.tsi(line);
-    TadSet &set = sets_[set_idx];
+    TadSetRef set = sets_[set_idx];
 
     L4WriteResult res;
     res.dram_accesses = 0;
@@ -160,10 +163,7 @@ ToucheCache::validLines() const
 std::uint64_t
 ToucheCache::bytesUsed() const
 {
-    std::uint64_t total = 0;
-    for (const TadSet &set : sets_)
-        total += set.bytesUsed();
-    return total;
+    return sets_.bytesUsed();
 }
 
 void
@@ -171,6 +171,7 @@ ToucheCache::resetStats()
 {
     DramCache::resetStats();
     alias_checks_ = false_positives_ = 0;
+    size_memo_hits_ = size_memo_misses_ = 0;
 }
 
 StatGroup
@@ -181,6 +182,14 @@ ToucheCache::stats() const
                  [this]() { return double(alias_checks_); });
     g.addFormula("false_positives",
                  [this]() { return double(false_positives_); });
+    g.addFormula("size_memo_hits",
+                 [this]() { return double(size_memo_hits_); });
+    g.addFormula("size_memo_misses",
+                 [this]() { return double(size_memo_misses_); });
+    g.addFormula("spilled_sets",
+                 [this]() { return double(sets_.spilledSets()); });
+    g.addFormula("overflow_pool_bytes",
+                 [this]() { return double(sets_.poolBytes()); });
     return g;
 }
 

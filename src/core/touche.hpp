@@ -29,8 +29,6 @@
 #ifndef DICE_CORE_TOUCHE_HPP
 #define DICE_CORE_TOUCHE_HPP
 
-#include <vector>
-
 #include "common/flat_map.hpp"
 #include "compress/hybrid.hpp"
 #include "core/data_source.hpp"
@@ -78,7 +76,7 @@ class ToucheCache : public DramCache
      * True when any resident item of @p set other than @p line itself
      * carries @p line's signature (an aliasing candidate).
      */
-    bool aliased(const TadSet &set, LineAddr line) const;
+    bool aliased(TadSetView set, LineAddr line) const;
 
     /** Compressed size (bytes) of the current data of @p line. */
     std::uint32_t sizeOf(LineAddr line, std::uint64_t payload) const;
@@ -91,9 +89,12 @@ class ToucheCache : public DramCache
     std::uint32_t sig_mask_;
 
     /** Dense per-set state, directly indexed by TSI set number. */
-    std::vector<TadSet> sets_;
+    TadSetArray sets_;
     mutable BoundedMemo<std::uint64_t, std::uint32_t, true> size_cache_{
         14};
+    /** Probe outcomes of the size memo (exported as l4 stats). */
+    mutable std::uint64_t size_memo_hits_ = 0;
+    mutable std::uint64_t size_memo_misses_ = 0;
     std::uint64_t lru_clock_ = 0;
     /** Resident logical lines, maintained across install's mutations. */
     std::uint64_t valid_lines_ = 0;

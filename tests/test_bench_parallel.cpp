@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +24,21 @@ namespace dice::bench
 {
 namespace
 {
+
+/**
+ * A result-file path under the test temp directory, unique per test
+ * and process: ctest -j runs the cases as parallel processes sharing
+ * one temp directory.
+ */
+std::filesystem::path
+tempPath(const std::string &stem)
+{
+    const auto *info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return std::filesystem::path(::testing::TempDir()) /
+           (stem + "." + info->name() + "." +
+            std::to_string(::getpid()) + ".result");
+}
 
 /** Compare every field of two results with exact (bitwise) equality. */
 void
@@ -99,8 +116,7 @@ TEST(BenchParallel, ParallelSweepMatchesSerial)
 TEST(BenchCache, SaveLoadRoundTripsAllFields)
 {
     const std::filesystem::path path =
-        std::filesystem::path(::testing::TempDir()) /
-        "dice_roundtrip.result";
+        tempPath("dice_roundtrip");
 
     RunResult r = resultFor(42);
     r.l3_hit_rate = 0.123456789012345;
@@ -117,8 +133,7 @@ TEST(BenchCache, SaveLoadRoundTripsAllFields)
 TEST(BenchCache, ConcurrentWritersNeverProduceTornReads)
 {
     const std::filesystem::path path =
-        std::filesystem::path(::testing::TempDir()) /
-        "dice_concurrent.result";
+        tempPath("dice_concurrent");
     std::filesystem::remove(path);
 
     constexpr int kWriters = 4;
@@ -168,7 +183,8 @@ TEST(BenchCache, ConcurrentWritersNeverProduceTornReads)
     for (const auto &entry : std::filesystem::directory_iterator(
              std::filesystem::path(::testing::TempDir())))
         EXPECT_EQ(
-            entry.path().filename().string().find("dice_concurrent"),
+            entry.path().filename().string().find(
+                path.filename().string()),
             std::string::npos)
             << entry.path();
 }
@@ -176,8 +192,7 @@ TEST(BenchCache, ConcurrentWritersNeverProduceTornReads)
 TEST(BenchCache, CorruptOrTruncatedFileIsACacheMiss)
 {
     const std::filesystem::path path =
-        std::filesystem::path(::testing::TempDir()) /
-        "dice_corrupt.result";
+        tempPath("dice_corrupt");
     detail::saveResult(path, resultFor(7));
 
     std::string content;

@@ -466,41 +466,90 @@ expectSameEviction(const std::optional<EvictedLine> &a,
 }
 
 /**
- * Random operation soup over one (set, model) pair. A small address
- * universe guarantees key collisions, pair/single interactions, and
- * constant eviction pressure.
+ * Payload bytes of a fuzzed item: mostly zero-byte or tiny, and only
+ * those while @p grow (so the set can fill to its item cap).
  */
-void
-fuzzTadSetAgainstModel(std::uint32_t budget, std::uint32_t max_lines,
-                       std::uint32_t tag_bytes, std::uint64_t seed)
+std::uint32_t
+fuzzDataBytes(Fuzz &fz, std::uint32_t max, bool grow)
 {
-    TadSet set(budget, max_lines, tag_bytes);
-    RefTadSet model(budget, max_lines, tag_bytes);
+    if (grow)
+        return fz.chance(85) ? 0 : static_cast<std::uint32_t>(
+                                       1 + fz.below(2));
+    switch (fz.below(4)) {
+      case 0:
+      case 1:
+        return 0;
+      case 2:
+        return static_cast<std::uint32_t>(1 + fz.below(8));
+      default:
+        return static_cast<std::uint32_t>(fz.below(max + 1));
+    }
+}
+
+/** How far one fuzz run got through the set's storage states. */
+struct TadFuzzCoverage
+{
+    std::uint32_t max_items = 0;
+    std::uint32_t spills = 0;   ///< inline -> pool transitions
+    std::uint32_t unspills = 0; ///< pool -> inline transitions
+    std::uint32_t spilled_evictions = 0;
+};
+
+/**
+ * Random operation soup over one (set, model) pair. A small address
+ * universe guarantees key collisions, pair merges and splits, and
+ * constant eviction pressure; mostly zero-byte and tiny payloads let
+ * a set grow to its item cap, so runs alternate between a growth
+ * phase (no removals) that drives the set across the inline/pool
+ * boundary up to the cap, and a mixed phase that drains it back.
+ * auditStorage() runs after every operation.
+ */
+TadFuzzCoverage
+fuzzTadSetAgainstModel(const TadGeometry &g, std::uint64_t seed)
+{
+    TadSetArray sets(1, g);
+    TadSetRef set = sets[0];
+    RefTadSet model(g.budget_bytes, g.max_lines, g.tag_bytes);
     Fuzz fz(seed);
     std::uint64_t stamp = 0;
     WritebackList wb_set, wb_model;
+    TadFuzzCoverage cov;
+    constexpr LineAddr kUniverse = 72; // 36 keys: room for 32 items
 
-    for (int op = 0; op < 3000; ++op) {
-        const LineAddr line = fz.below(24); // 12 keys
-        switch (fz.below(6)) {
+    auto evictBoth = [&](LineAddr protect) {
+        wb_set.clear();
+        wb_model.clear();
+        const bool spilled = set.spilled();
+        const bool a = set.evictLru(protect, wb_set);
+        const bool b = model.evictLru(protect, wb_model);
+        EXPECT_EQ(a, b);
+        EXPECT_EQ(wb_set.size(), wb_model.size());
+        for (std::size_t i = 0;
+             i < std::min(wb_set.size(), wb_model.size()); ++i) {
+            EXPECT_EQ(wb_set[i].line, wb_model[i].line);
+            EXPECT_EQ(wb_set[i].dirty, wb_model[i].dirty);
+            EXPECT_EQ(wb_set[i].payload, wb_model[i].payload);
+        }
+        if (a && spilled)
+            ++cov.spilled_evictions;
+        return a && b;
+    };
+
+    for (int op = 0; op < 6000; ++op) {
+        const bool grow = (op / 300) % 2 == 0;
+        const LineAddr line = fz.below(kUniverse);
+        const bool was_spilled = set.spilled();
+        // Growth phases skip removals and mostly install singles.
+        const std::uint64_t kind =
+            grow ? (fz.chance(60) ? 0 : 1 + fz.below(3)) : fz.below(6);
+        switch (kind) {
           case 0: { // single install, cache-style make-room first
-            const auto data =
-                static_cast<std::uint32_t>(fz.below(65));
+            const std::uint32_t data = fuzzDataBytes(fz, 64, grow);
             set.remove(line, 0);
             model.remove(line, 0);
             bool ok = true;
-            while (!set.fits(data, 1)) {
-                wb_set.clear();
-                wb_model.clear();
-                const bool a = set.evictLru(line, wb_set);
-                const bool b = model.evictLru(line, wb_model);
-                ASSERT_EQ(a, b);
-                ASSERT_EQ(wb_set.size(), wb_model.size());
-                if (!a) {
-                    ok = false;
-                    break;
-                }
-            }
+            while (ok && !set.fits(data, 1))
+                ok = evictBoth(line);
             if (!ok)
                 break;
             const std::uint64_t payload = fz.next();
@@ -511,26 +560,16 @@ fuzzTadSetAgainstModel(std::uint32_t budget, std::uint32_t max_lines,
             model.insertSingle(line, data, dirty, payload, bai, stamp);
             break;
           }
-          case 1: { // pair install over an even base
+          case 1: { // pair merge over an even base (replaces singles)
             const LineAddr base = line & ~LineAddr{1};
-            const auto data =
-                static_cast<std::uint32_t>(fz.below(129));
+            const std::uint32_t data = fuzzDataBytes(fz, 128, grow);
             set.remove(base, 0);
             model.remove(base, 0);
             set.remove(base | 1, 0);
             model.remove(base | 1, 0);
             bool ok = true;
-            while (!set.fits(data, 2)) {
-                wb_set.clear();
-                wb_model.clear();
-                const bool a = set.evictLru(base, wb_set);
-                const bool b = model.evictLru(base, wb_model);
-                ASSERT_EQ(a, b);
-                if (!a) {
-                    ok = false;
-                    break;
-                }
-            }
+            while (ok && !set.fits(data, 2))
+                ok = evictBoth(base);
             if (!ok)
                 break;
             const std::uint64_t p0 = fz.next(), p1 = fz.next();
@@ -541,7 +580,19 @@ fuzzTadSetAgainstModel(std::uint32_t budget, std::uint32_t max_lines,
             model.insertPair(base, data, d0, p0, d1, p1, bai, stamp);
             break;
           }
-          case 2: { // removal (pairs shrink to the survivor's size)
+          case 2: { // LRU touch
+            ++stamp;
+            set.touch(line, stamp);
+            model.touch(line, stamp);
+            break;
+          }
+          case 3: { // dirty-mark with payload replacement
+            const std::uint64_t payload = fz.next();
+            EXPECT_EQ(set.markDirty(line, payload),
+                      model.markDirty(line, payload));
+            break;
+          }
+          case 4: { // removal (a pair splits to the survivor's size)
             const std::uint32_t cur = model.dataBytesOf(line);
             const auto remaining = static_cast<std::uint32_t>(
                 cur != 0 ? fz.below(cur + 1) : 0);
@@ -549,65 +600,66 @@ fuzzTadSetAgainstModel(std::uint32_t budget, std::uint32_t max_lines,
                                model.remove(line, remaining));
             break;
           }
-          case 3: { // LRU eviction under protection
-            wb_set.clear();
-            wb_model.clear();
-            const bool a = set.evictLru(line, wb_set);
-            const bool b = model.evictLru(line, wb_model);
-            ASSERT_EQ(a, b);
-            ASSERT_EQ(wb_set.size(), wb_model.size());
-            for (std::size_t i = 0; i < wb_set.size(); ++i) {
-                EXPECT_EQ(wb_set[i].line, wb_model[i].line);
-                EXPECT_EQ(wb_set[i].dirty, wb_model[i].dirty);
-                EXPECT_EQ(wb_set[i].payload, wb_model[i].payload);
-            }
-            // The regression this pins: eviction must leave the
-            // incremental byte/line accounting exactly consistent
-            // with the planes.
-            ASSERT_TRUE(set.auditStorage());
+          default: // LRU eviction under protection
+            evictBoth(line);
             break;
-          }
-          case 4: { // LRU touch
-            ++stamp;
-            set.touch(line, stamp);
-            model.touch(line, stamp);
-            break;
-          }
-          default: { // dirty-mark with payload replacement
-            const std::uint64_t payload = fz.next();
-            EXPECT_EQ(set.markDirty(line, payload),
-                      model.markDirty(line, payload));
-            break;
-          }
         }
+        if (::testing::Test::HasFailure())
+            return cov; // report the first divergence, not a flood
 
+        // The regression this pins: every mutation must leave the
+        // incremental byte/line accounting exactly consistent with
+        // the planes, wherever they live.
+        EXPECT_TRUE(set.auditStorage()) << "op " << op;
         expectSameLookup(set.lookup(line), model.lookup(line), line);
         EXPECT_EQ(set.bytesUsed(), model.bytesUsed());
         EXPECT_EQ(set.lineCount(), model.lineCount());
         EXPECT_EQ(set.itemCount(), model.itemCount());
+        EXPECT_EQ(sets.spilledSets(), set.spilled() ? 1u : 0u);
+        cov.max_items = std::max(cov.max_items, set.itemCount());
+        cov.spills += !was_spilled && set.spilled();
+        cov.unspills += was_spilled && !set.spilled();
         if (op % 64 == 0) {
-            ASSERT_TRUE(set.auditStorage());
-            for (LineAddr probe = 0; probe < 24; ++probe) {
+            for (LineAddr probe = 0; probe < kUniverse; ++probe) {
                 expectSameLookup(set.lookup(probe),
                                  model.lookup(probe), probe);
             }
         }
     }
-    ASSERT_TRUE(set.auditStorage());
+    return cov;
 }
 
 TEST(TadSetModel, RandomOpsMatchReferenceModel)
 {
-    underBothBackends([](bool scalar) {
-        const std::uint64_t base_seed = scalar ? 0x5CA1A4 : 0x51D4;
-        // DICE TAD geometry, Alloy tag pricing, and a wide SCC-like
-        // set so every capacity()/plane-offset case is exercised.
-        fuzzTadSetAgainstModel(kTadSetBytes, kTadMaxLines, kTadTagBytes,
-                               base_seed);
-        fuzzTadSetAgainstModel(kTadSetBytes, kTadMaxLines,
-                               kAlloyTagBytes, base_seed + 1);
-        fuzzTadSetAgainstModel(4 * kTadSetBytes, 32, kAlloyTagBytes,
-                               base_seed + 2);
+    // The three organizations' geometries — DICE TAD (18 items), the
+    // Touché 1-B signature tags (28), SCC's eight 72-B ways (32) —
+    // plus Alloy-priced tags for a narrow set.
+    const TadGeometry kGeometries[] = {
+        {kTadSetBytes, kTadMaxLines, kTadTagBytes},
+        {kTadSetBytes, kTadMaxLines, 1},
+        {8 * kTadSetBytes, 32, 2},
+        {kTadSetBytes, kTadMaxLines, kAlloyTagBytes},
+    };
+    underBothBackends([&](bool scalar) {
+        std::uint64_t seed = scalar ? 0x5CA1A4 : 0x51D4;
+        for (const TadGeometry &g : kGeometries) {
+            SCOPED_TRACE(::testing::Message()
+                         << "geometry " << g.budget_bytes << "/"
+                         << g.max_lines << "/" << g.tag_bytes
+                         << (scalar ? " scalar" : " dispatched"));
+            const TadFuzzCoverage cov = fuzzTadSetAgainstModel(g, seed++);
+            if (::testing::Test::HasFailure())
+                return;
+            // The run must have filled the set to its item cap and
+            // crossed the inline/pool boundary both ways, evicting
+            // from a spilled set along the way.
+            EXPECT_EQ(cov.max_items, g.capacity());
+            if (g.capacity() > kTadInlineItems) {
+                EXPECT_GT(cov.spills, 0u);
+                EXPECT_GT(cov.unspills, 0u);
+                EXPECT_GT(cov.spilled_evictions, 0u);
+            }
+        }
     });
 }
 

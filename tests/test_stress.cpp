@@ -180,7 +180,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(TadSetStress, RandomInsertRemoveKeepsAccountingExact)
 {
-    TadSet set;
+    TadSetArray sets(1);
+    TadSetRef set = sets[0];
     Rng rng(99);
     std::map<LineAddr, std::uint32_t> model; // line -> its share seen
 

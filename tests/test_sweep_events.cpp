@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -35,7 +37,13 @@ using dice::SweepPhase;
 std::filesystem::path
 freshDir(const std::string &name)
 {
-    const auto dir = std::filesystem::temp_directory_path() / name;
+    // Unique per test and process: ctest -j runs the cases as
+    // parallel processes sharing one temp directory.
+    const auto *info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    const auto dir = std::filesystem::temp_directory_path() /
+                     (name + "." + info->name() + "." +
+                      std::to_string(::getpid()));
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     return dir;

@@ -15,7 +15,8 @@ namespace
 
 TEST(TadSet, EmptySet)
 {
-    TadSet s;
+    TadSetArray sets(1);
+    TadSetRef s = sets[0];
     EXPECT_EQ(s.bytesUsed(), 0u);
     EXPECT_EQ(s.lineCount(), 0u);
     EXPECT_FALSE(s.lookup(5).found);
@@ -24,7 +25,8 @@ TEST(TadSet, EmptySet)
 
 TEST(TadSet, SingleInsertAccounting)
 {
-    TadSet s;
+    TadSetArray sets(1);
+    TadSetRef s = sets[0];
     s.insertSingle(10, 20, false, 1, true, 1);
     EXPECT_EQ(s.bytesUsed(), 24u); // 4-B tag + 20-B payload
     EXPECT_EQ(s.lineCount(), 1u);
@@ -38,7 +40,8 @@ TEST(TadSet, SingleInsertAccounting)
 
 TEST(TadSet, UncompressedSingleFitsExactlyOnce)
 {
-    TadSet s;
+    TadSetArray sets(1);
+    TadSetRef s = sets[0];
     EXPECT_TRUE(s.fits(64, 1));
     s.insertSingle(10, 64, false, 0, false, 1);
     EXPECT_EQ(s.bytesUsed(), 68u);
@@ -49,7 +52,8 @@ TEST(TadSet, UncompressedSingleFitsExactlyOnce)
 
 TEST(TadSet, ZeroByteLineSharesTheLastFourBytes)
 {
-    TadSet s;
+    TadSetArray sets(1);
+    TadSetRef s = sets[0];
     s.insertSingle(10, 64, false, 0, false, 1);
     EXPECT_TRUE(s.fits(0, 1));
     s.insertSingle(42, 0, false, 0, false, 2);
@@ -59,7 +63,8 @@ TEST(TadSet, ZeroByteLineSharesTheLastFourBytes)
 
 TEST(TadSet, PairInsertAndLookup)
 {
-    TadSet s;
+    TadSetArray sets(1);
+    TadSetRef s = sets[0];
     s.insertPair(20, 68, true, 11, false, 22, true, 1);
     EXPECT_EQ(s.bytesUsed(), 72u);
     EXPECT_EQ(s.lineCount(), 2u);
@@ -80,7 +85,8 @@ TEST(TadSet, PairInsertAndLookup)
 
 TEST(TadSet, NeighborAcrossSeparateItems)
 {
-    TadSet s;
+    TadSetArray sets(1);
+    TadSetRef s = sets[0];
     s.insertSingle(30, 16, false, 5, true, 1);
     s.insertSingle(31, 16, false, 6, true, 2);
     const TadLookup lk = s.lookup(30);
@@ -91,7 +97,8 @@ TEST(TadSet, NeighborAcrossSeparateItems)
 
 TEST(TadSet, RemoveSingle)
 {
-    TadSet s;
+    TadSetArray sets(1);
+    TadSetRef s = sets[0];
     s.insertSingle(10, 20, true, 9, false, 1);
     const auto wb = s.remove(10, 0);
     ASSERT_TRUE(wb.has_value());
@@ -103,14 +110,16 @@ TEST(TadSet, RemoveSingle)
 
 TEST(TadSet, RemoveCleanReturnsNothing)
 {
-    TadSet s;
+    TadSetArray sets(1);
+    TadSetRef s = sets[0];
     s.insertSingle(10, 20, false, 9, false, 1);
     EXPECT_FALSE(s.remove(10, 0).has_value());
 }
 
 TEST(TadSet, RemoveHalfOfPairLeavesSurvivorSingle)
 {
-    TadSet s;
+    TadSetArray sets(1);
+    TadSetRef s = sets[0];
     s.insertPair(20, 68, false, 11, true, 22, true, 1);
     const auto wb = s.remove(20, 36); // survivor re-sized to 36 B
     EXPECT_FALSE(wb.has_value());     // even half was clean
@@ -125,7 +134,8 @@ TEST(TadSet, RemoveHalfOfPairLeavesSurvivorSingle)
 
 TEST(TadSet, RemoveDirtyHalfOfPairWritesBack)
 {
-    TadSet s;
+    TadSetArray sets(1);
+    TadSetRef s = sets[0];
     s.insertPair(20, 68, false, 11, true, 22, true, 1);
     const auto wb = s.remove(21, 36);
     ASSERT_TRUE(wb.has_value());
@@ -135,7 +145,8 @@ TEST(TadSet, RemoveDirtyHalfOfPairWritesBack)
 
 TEST(TadSet, EvictLruPicksOldestWholeItem)
 {
-    TadSet s;
+    TadSetArray sets(1);
+    TadSetRef s = sets[0];
     s.insertSingle(10, 10, false, 0, false, /*lru=*/5);
     s.insertSingle(42, 10, true, 7, false, /*lru=*/2);
     WritebackList wbs;
@@ -148,7 +159,8 @@ TEST(TadSet, EvictLruPicksOldestWholeItem)
 
 TEST(TadSet, EvictLruNeverEvictsProtectedLine)
 {
-    TadSet s;
+    TadSetArray sets(1);
+    TadSetRef s = sets[0];
     s.insertSingle(10, 10, false, 0, false, 1);
     WritebackList wbs;
     EXPECT_FALSE(s.evictLru(10, wbs));
@@ -157,7 +169,8 @@ TEST(TadSet, EvictLruNeverEvictsProtectedLine)
 
 TEST(TadSet, EvictLruProtectsThePairOfTheProtectedLine)
 {
-    TadSet s;
+    TadSetArray sets(1);
+    TadSetRef s = sets[0];
     s.insertPair(20, 30, false, 0, false, 0, true, 1);
     WritebackList wbs;
     // Protecting line 21 protects the whole (20,21) item.
@@ -166,7 +179,8 @@ TEST(TadSet, EvictLruProtectsThePairOfTheProtectedLine)
 
 TEST(TadSet, EvictingPairWritesBackBothDirtyHalves)
 {
-    TadSet s;
+    TadSetArray sets(1);
+    TadSetRef s = sets[0];
     s.insertPair(20, 30, true, 1, true, 2, true, 1);
     WritebackList wbs;
     EXPECT_TRUE(s.evictLru(99, wbs));
@@ -177,7 +191,8 @@ TEST(TadSet, EvictingPairWritesBackBothDirtyHalves)
 
 TEST(TadSet, TouchUpdatesLruOrder)
 {
-    TadSet s;
+    TadSetArray sets(1);
+    TadSetRef s = sets[0];
     s.insertSingle(10, 10, false, 0, false, 1);
     s.insertSingle(42, 10, false, 0, false, 2);
     s.touch(10, 3); // 10 becomes MRU; 42 is now LRU
@@ -189,7 +204,8 @@ TEST(TadSet, TouchUpdatesLruOrder)
 
 TEST(TadSet, MarkDirtyReplacesPayload)
 {
-    TadSet s;
+    TadSetArray sets(1);
+    TadSetRef s = sets[0];
     s.insertSingle(10, 10, false, 1, false, 1);
     EXPECT_TRUE(s.markDirty(10, 99));
     EXPECT_FALSE(s.markDirty(11, 0));
@@ -202,7 +218,8 @@ TEST(TadSet, ManyTinyLinesUpTo28)
 {
     // 28 zero-byte (ZCA) lines cost 28 tags = 112 B > 72 B, so the
     // byte budget binds first; with 2-B... with 4-B tags 17 lines fit.
-    TadSet s;
+    TadSetArray sets(1);
+    TadSetRef s = sets[0];
     std::uint32_t inserted = 0;
     for (LineAddr l = 0; l < 100; l += 2) {
         if (!s.fits(0, 1))
@@ -218,7 +235,8 @@ TEST(TadSet, LineCapBindsWithSharedTags)
 {
     // With shared-tag pairs of ZCA lines (4 B per 2 lines), the
     // 28-line cap binds before the byte budget.
-    TadSet s;
+    TadSetArray sets(1);
+    TadSetRef s = sets[0];
     std::uint32_t lines = 0;
     for (LineAddr base = 0; base < 200; base += 2) {
         if (!s.fits(0, 2))
@@ -232,7 +250,8 @@ TEST(TadSet, LineCapBindsWithSharedTags)
 
 TEST(TadSet, CustomBudgetForAssociativeOrganizations)
 {
-    TadSet s(8 * 72, 32, 2); // SCC-style set
+    TadSetArray sets(1, TadGeometry{8 * 72, 32, 2}); // SCC-style set
+    TadSetRef s = sets[0];
     for (LineAddr l = 0; l < 64; l += 2) {
         if (!s.fits(16, 1))
             break;

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "workloads/trace_file.hpp"
 
@@ -22,7 +25,12 @@ class TraceFileTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "dice_trace_test.txt";
+        // Unique per test and process: ctest -j runs the cases as
+        // parallel processes sharing one temp directory.
+        const auto *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        path_ = ::testing::TempDir() + "dice_trace_test." + info->name() +
+                "." + std::to_string(::getpid()) + ".txt";
     }
 
     void TearDown() override { std::remove(path_.c_str()); }
