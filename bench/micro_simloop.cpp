@@ -404,9 +404,9 @@ BENCHMARK_CAPTURE(BM_SetScan, inline, dice::kTadInlineItems);
 BENCHMARK_CAPTURE(BM_SetScan, spilled, 32u);
 
 /**
- * Batched size-only codec route over a class-diverse line batch —
- * the FPC prefix classification and BDI delta-width checks that
- * dominate sizeOf() misses. Label reports the active SIMD backend.
+ * Size-only codec route over a class-diverse line batch — the FPC
+ * prefix classification and BDI delta-width checks that dominate
+ * sizeOf() misses. Label reports the active SIMD backend.
  */
 void
 BM_BatchSize(benchmark::State &state)
@@ -426,8 +426,9 @@ BM_BatchSize(benchmark::State &state)
     const dice::HybridCodec codec;
     std::uint32_t sizes[kBatch];
     for (auto _ : state) {
-        codec.compressedSizeBytes(lines, kBatch, sizes);
-        benchmark::DoNotOptimize(sizes[0]);
+        for (std::size_t i = 0; i < kBatch; ++i)
+            sizes[i] = codec.compressedSizeBytes(lines[i]);
+        benchmark::DoNotOptimize(sizes);
     }
     state.SetLabel(dice::simd::backendName());
     state.counters["lines_per_sec"] = benchmark::Counter(

@@ -68,9 +68,6 @@ class BdiCodec : public Codec
 
     /** compressedBits() rounded up to whole bytes. */
     std::uint32_t compressedSizeBytes(const Line &line) const override;
-
-    /** Un-hide the inherited batched overload. */
-    using Codec::compressedSizeBytes;
 };
 
 } // namespace dice

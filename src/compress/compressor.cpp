@@ -7,14 +7,6 @@
 namespace dice
 {
 
-void
-Codec::compressedSizeBytes(const Line *lines, std::size_t n,
-                           std::uint32_t *out) const
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = compressedSizeBytes(lines[i]);
-}
-
 Encoded
 encodeRaw(const Line &line)
 {

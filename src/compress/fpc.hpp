@@ -34,9 +34,6 @@ class FpcCodec : public Codec
     /** compressedBits() rounded up to whole bytes. */
     std::uint32_t compressedSizeBytes(const Line &line) const override;
 
-    /** Un-hide the inherited batched overload. */
-    using Codec::compressedSizeBytes;
-
     /** Word-level patterns, in prefix order. */
     enum Pattern : std::uint8_t
     {

@@ -23,9 +23,6 @@ class ZcaCodec : public Codec
 
     /** 0 for an all-zero line, kLineSize otherwise. */
     std::uint32_t compressedSizeBytes(const Line &line) const override;
-
-    /** Un-hide the inherited batched overload. */
-    using Codec::compressedSizeBytes;
 };
 
 } // namespace dice

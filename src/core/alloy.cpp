@@ -87,6 +87,12 @@ AlloyCache::install(LineAddr line, std::uint64_t payload, bool dirty,
     return res;
 }
 
+void
+AlloyCache::prefetch(LineAddr line) const
+{
+    __builtin_prefetch(&sets_[indexer_.tsi(line)]);
+}
+
 bool
 AlloyCache::contains(LineAddr line) const
 {

@@ -31,6 +31,7 @@ class AlloyCache : public DramCache
     L4ReadResult read(LineAddr line, Cycle now) override;
     L4WriteResult install(LineAddr line, std::uint64_t payload, bool dirty,
                           Cycle now, bool after_read_miss) override;
+    void prefetch(LineAddr line) const override;
     bool contains(LineAddr line) const override;
     std::uint64_t validLines() const override;
     const char *organization() const override { return "alloy"; }

@@ -236,6 +236,15 @@ BansheeCache::completeFill(LineAddr line, std::uint64_t payload, Cycle now)
     payloads_[std::size_t{frame} * page_lines_ + off] = payload;
 }
 
+void
+BansheeCache::prefetch(LineAddr line) const
+{
+    const std::uint32_t frame = frameOf(setOf(pageOf(line)), 0);
+    __builtin_prefetch(&tags_[frame]);
+    __builtin_prefetch(&valid_[frame]);
+    __builtin_prefetch(&counters_[frame]);
+}
+
 bool
 BansheeCache::contains(LineAddr line) const
 {

@@ -57,6 +57,8 @@ class BansheeCache : public DramCache
                           Cycle now, bool after_read_miss) override;
     void completeFill(LineAddr line, std::uint64_t payload,
                       Cycle now) override;
+    /** Prefetches the tag, valid and counter planes of the page's set. */
+    void prefetch(LineAddr line) const override;
     bool contains(LineAddr line) const override;
     std::uint64_t validLines() const override;
     const char *organization() const override { return "banshee"; }

@@ -112,7 +112,8 @@ CompressedDramCache::installScheme(LineAddr line, std::uint32_t size,
 }
 
 std::uint32_t
-CompressedDramCache::sizeOf(LineAddr line, std::uint64_t payload) const
+CompressedDramCache::sizeOf(LineAddr line, std::uint64_t payload,
+                            std::optional<Line> *synthesized) const
 {
     // The memo is per cache instance, and a cache instance belongs to
     // exactly one System: concurrent Systems (the parallel bench
@@ -126,86 +127,72 @@ CompressedDramCache::sizeOf(LineAddr line, std::uint64_t payload) const
         return *hit;
     }
     ++size_memo_misses_;
-    const std::uint32_t size =
-        codec_.compressedSizeBytes(source_.bytes(line, payload));
+    const Line bytes = source_.bytes(line, payload);
+    const std::uint32_t size = codec_.compressedSizeBytes(bytes);
     size_cache_.put(key, size);
+    if (synthesized != nullptr)
+        *synthesized = bytes;
     return size;
 }
 
 std::uint32_t
-CompressedDramCache::pairSizeOf(LineAddr base, std::uint64_t even_payload,
-                                std::uint64_t odd_payload) const
+CompressedDramCache::pairSizeOf(LineAddr line, std::uint64_t payload,
+                                std::uint32_t line_bytes,
+                                const std::optional<Line> &line_data,
+                                std::uint64_t neighbor_payload,
+                                std::uint32_t neighbor_bytes) const
 {
-    const std::uint64_t key =
-        mix64(mix64(base, even_payload), odd_payload);
-    if (const std::uint32_t *hit = pair_size_cache_.find(key)) {
-        ++pair_memo_hits_;
-        return *hit;
-    }
-    ++pair_memo_misses_;
+    // Both single sizes are in hand (the new line's from sizeOf, the
+    // neighbor's from its resident item), so when they already beat
+    // every shared-base mode (the smallest is B8D1's 24 B) the joint
+    // size is their sum and no line is synthesized.
+    const std::uint32_t sum = line_bytes + neighbor_bytes;
+    if (sum <= 24)
+        return sum;
 
-    // The single-line sizes usually sit in the size memo (the line
-    // being installed was just sized; its neighbor was sized when it
-    // arrived), so the joint pass only pays for the pair modes — and
-    // when the independent sizes already beat every shared-base mode
-    // (the smallest is B8D1's 24 B), the lines need not even be
-    // synthesized. When they must be, each half is synthesized at most
-    // once, shared between its memo-missed single sizing and the joint
-    // pass; a pair neither sizing touched comes from one bytesPair
-    // call so the source derives their common state once.
+    // Otherwise synthesize only what is missing: the neighbor alone
+    // when sizeOf just synthesized the new line, else both halves in
+    // one bytesPair call so the source derives their common state once.
+    const auto h = static_cast<std::uint32_t>(line & 1); // new line's half
     Line lines[2];
-    std::uint32_t have = 0; // bit h set: lines[h] synthesized
-    const std::uint64_t payloads[2] = {even_payload, odd_payload};
-    auto lineOf = [&](std::uint32_t h) -> const Line & {
-        if (!(have & (1u << h))) {
-            lines[h] = source_.bytes(base | h, payloads[h]);
-            have |= 1u << h;
-        }
-        return lines[h];
-    };
-    const std::uint64_t half_keys[2] = {mix64(base, even_payload),
-                                        mix64(base | 1, odd_payload)};
     std::uint32_t half_bytes[2];
-    std::uint32_t missed = 0; // bit h set: size memo missed half h
-    for (std::uint32_t h = 0; h < 2; ++h) {
-        if (const std::uint32_t *hit = size_cache_.find(half_keys[h]))
-            half_bytes[h] = *hit;
-        else
-            missed |= 1u << h;
-    }
-    const std::uint32_t half_misses = popcount64(missed);
-    size_memo_misses_ += half_misses;
-    size_memo_hits_ += 2 - half_misses;
-    if (missed == 3) {
-        // Both halves miss: derive them together and size them through
-        // the codec's batched route (one classification pass setup).
-        source_.bytesPair(base, even_payload, odd_payload, lines);
-        have = 3;
-        codec_.compressedSizeBytes(lines, 2, half_bytes);
-        size_cache_.put(half_keys[0], half_bytes[0]);
-        size_cache_.put(half_keys[1], half_bytes[1]);
+    half_bytes[h] = line_bytes;
+    half_bytes[h ^ 1] = neighbor_bytes;
+    if (line_data) {
+        lines[h] = *line_data;
+        lines[h ^ 1] =
+            source_.bytes(SetIndexer::spatialNeighbor(line), neighbor_payload);
     } else {
-        for (std::uint32_t h = 0; h < 2; ++h) {
-            if (!(missed & (1u << h)))
-                continue;
-            half_bytes[h] = codec_.compressedSizeBytes(lineOf(h));
-            size_cache_.put(half_keys[h], half_bytes[h]);
-        }
+        std::uint64_t versions[2];
+        versions[h] = payload;
+        versions[h ^ 1] = neighbor_payload;
+        source_.bytesPair(SetIndexer::pairBase(line), versions[0],
+                          versions[1], lines);
     }
+    return codec_.pairSizeBytes(lines[0], lines[1], half_bytes[0],
+                                half_bytes[1]);
+}
 
-    const std::uint32_t even_bytes = half_bytes[0];
-    const std::uint32_t odd_bytes = half_bytes[1];
-    std::uint32_t size = even_bytes + odd_bytes;
-    if (size > 24) {
-        if (have == 0) {
-            source_.bytesPair(base, even_payload, odd_payload, lines);
-            have = 3;
-        }
-        size = codec_.pairSizeBytes(lineOf(0), lineOf(1), even_bytes,
-                                    odd_bytes);
+void
+CompressedDramCache::prefetch(LineAddr line) const
+{
+    switch (cfg_.policy) {
+      case CompressionPolicy::TsiOnly:
+        sets_.prefetch(indexer_.tsi(line));
+        return;
+      case CompressionPolicy::NsiOnly:
+        sets_.prefetch(indexer_.nsi(line));
+        return;
+      case CompressionPolicy::BaiOnly:
+        sets_.prefetch(indexer_.bai(line));
+        return;
+      case CompressionPolicy::Dice:
+        // A read probes one or both of the TSI and BAI sets, and an
+        // install looks the line up in both.
+        sets_.prefetch(indexer_.tsi(line));
+        sets_.prefetch(indexer_.bai(line));
+        return;
     }
-    pair_size_cache_.put(key, size);
-    return size;
 }
 
 L4ReadResult
@@ -321,7 +308,10 @@ CompressedDramCache::install(LineAddr line, std::uint64_t payload,
 {
     ++installs_;
 
-    const std::uint32_t size = sizeOf(line, payload);
+    // The new line's bytes, when sizing it synthesized them: a pair
+    // sizing below then synthesizes only the neighbor.
+    std::optional<Line> line_data;
+    const std::uint32_t size = sizeOf(line, payload, &line_data);
     bool invariant = false;
     const IndexScheme scheme = installScheme(line, size, invariant);
     const std::uint64_t target = indexer_.set(line, scheme);
@@ -412,10 +402,12 @@ CompressedDramCache::install(LineAddr line, std::uint64_t payload,
     const TadLookup nb = set.lookup(neighbor);
     bool inserted = false;
     if (nb.found && cfg_.pair_compression) {
+        // The line itself is not resident here (removed above), so its
+        // neighbor is a single whose stored bytes are its own size.
+        dice_assert(!nb.in_pair, "neighbor paired without the line");
         const LineAddr base = SetIndexer::pairBase(line);
         const std::uint32_t pair_bytes = pairSizeOf(
-            base, (line & 1) == 0 ? payload : nb.payload,
-            (line & 1) == 1 ? payload : nb.payload);
+            line, payload, size, line_data, nb.payload, nb.item_bytes);
         if (kTadTagBytes + pair_bytes <= kTadSetBytes) { // pair fits a TAD
             removeResident(set, neighbor, nb);
             while (!set.fits(pair_bytes, 2)) {
@@ -514,7 +506,6 @@ CompressedDramCache::resetStats()
     installs_invariant_ = installs_bai_ = installs_tsi_ = 0;
     pair_installs_ = second_probes_ = duplicate_scrubs_ = 0;
     size_memo_hits_ = size_memo_misses_ = 0;
-    pair_memo_hits_ = pair_memo_misses_ = 0;
     cip_.resetStats();
 }
 
@@ -542,10 +533,6 @@ CompressedDramCache::stats() const
                  [this]() { return double(size_memo_hits_); });
     g.addFormula("size_memo_misses",
                  [this]() { return double(size_memo_misses_); });
-    g.addFormula("pair_memo_hits",
-                 [this]() { return double(pair_memo_hits_); });
-    g.addFormula("pair_memo_misses",
-                 [this]() { return double(pair_memo_misses_); });
     g.addFormula("spilled_sets",
                  [this]() { return double(sets_.spilledSets()); });
     g.addFormula("overflow_pool_bytes",

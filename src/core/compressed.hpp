@@ -19,6 +19,8 @@
 #ifndef DICE_CORE_COMPRESSED_HPP
 #define DICE_CORE_COMPRESSED_HPP
 
+#include <optional>
+
 #include "common/flat_map.hpp"
 #include "common/ring_trace.hpp"
 #include "compress/hybrid.hpp"
@@ -85,6 +87,8 @@ class CompressedDramCache : public DramCache
     L4ReadResult read(LineAddr line, Cycle now) override;
     L4WriteResult install(LineAddr line, std::uint64_t payload, bool dirty,
                           Cycle now, bool after_read_miss) override;
+    /** Prefetches the records of every set a lookup of @p line probes. */
+    void prefetch(LineAddr line) const override;
     bool contains(LineAddr line) const override;
     std::uint64_t validLines() const override;
     const char *organization() const override;
@@ -110,14 +114,12 @@ class CompressedDramCache : public DramCache
     std::uint64_t bytesUsed() const override;
 
     /**
-     * Combined storage footprint of the compressed-size memos
-     * (constant for the cache's lifetime — both are bounded, see
-     * BoundedMemo).
+     * Storage footprint of the compressed-size memo (constant for the
+     * cache's lifetime — it is bounded, see BoundedMemo).
      */
     std::size_t sizeMemoCapacityBytes() const
     {
-        return size_cache_.capacityBytes() +
-               pair_size_cache_.capacityBytes();
+        return size_cache_.capacityBytes();
     }
 
     void resetStats() override;
@@ -153,12 +155,25 @@ class CompressedDramCache : public DramCache
     IndexScheme installScheme(LineAddr line, std::uint32_t size,
                               bool &invariant) const;
 
-    /** Compressed size (bytes) of the current data of @p line. */
-    std::uint32_t sizeOf(LineAddr line, std::uint64_t payload) const;
+    /**
+     * Compressed size (bytes) of the current data of @p line. When the
+     * memo misses and @p synthesized is given, the bytes just sized are
+     * left there for a pair sizing that follows.
+     */
+    std::uint32_t sizeOf(LineAddr line, std::uint64_t payload,
+                         std::optional<Line> *synthesized = nullptr) const;
 
-    /** Compressed size (bytes) of the joint pair (base, base|1). */
-    std::uint32_t pairSizeOf(LineAddr base, std::uint64_t even_payload,
-                             std::uint64_t odd_payload) const;
+    /**
+     * Compressed size (bytes) of the joint pair of @p line and its
+     * resident single neighbor, from both single sizes: @p line_bytes
+     * (with @p line_data, the line's bytes when sizing synthesized
+     * them) and the neighbor's stored @p neighbor_bytes.
+     */
+    std::uint32_t pairSizeOf(LineAddr line, std::uint64_t payload,
+                             std::uint32_t line_bytes,
+                             const std::optional<Line> &line_data,
+                             std::uint64_t neighbor_payload,
+                             std::uint32_t neighbor_bytes) const;
 
     /**
      * Remove @p line from @p set, recomputing the surviving half's
@@ -189,7 +204,7 @@ class CompressedDramCache : public DramCache
      * mixed, hence PreHashed). Bounded and generation-versioned: a
      * collision recomputes instead of growing, so the memo's footprint
      * stays flat over arbitrarily long runs (it used to be an unbounded
-     * map that never evicted). Sizing note: with the batched/vectorized
+     * map that never evicted). Sizing note: with the vectorized
      * codec sizing, a recompute (synthesize + size) costs about as much
      * as a DRAM-latency probe miss, so a huge memo no longer pays —
      * 2^14 buckets x 4 ways (1 MiB) keeps probes near-cache while
@@ -197,19 +212,9 @@ class CompressedDramCache : public DramCache
      */
     mutable BoundedMemo<std::uint64_t, std::uint32_t, true> size_cache_{
         14};
-    /**
-     * Same idea for joint pair sizes, keyed by a mix64 chain over
-     * (pair base, even version, odd version). Without it every install
-     * next to a resident neighbor re-synthesizes both lines and runs
-     * the joint codec again.
-     */
-    mutable BoundedMemo<std::uint64_t, std::uint32_t, true>
-        pair_size_cache_{12};
-    /** Probe outcomes of the two memos (exported as l4 stats). */
+    /** Probe outcomes of the size memo (exported as l4 stats). */
     mutable std::uint64_t size_memo_hits_ = 0;
     mutable std::uint64_t size_memo_misses_ = 0;
-    mutable std::uint64_t pair_memo_hits_ = 0;
-    mutable std::uint64_t pair_memo_misses_ = 0;
     std::uint64_t lru_clock_ = 0;
     /** Resident logical lines, maintained across install's mutations. */
     std::uint64_t valid_lines_ = 0;

@@ -136,6 +136,15 @@ class DramCache
         (void)now;
     }
 
+    /**
+     * Host-side hint that @p line is likely to be read or installed
+     * soon: an organization may start pulling the simulator state a
+     * lookup of @p line will touch into the host caches. A hint has no
+     * effect on the model (it reads and writes no modelled state), so
+     * any line is valid, resident or not. Default: nothing.
+     */
+    virtual void prefetch(LineAddr line) const { (void)line; }
+
     /** True when @p line is resident (functional check, no timing). */
     virtual bool contains(LineAddr line) const = 0;
 

@@ -119,6 +119,12 @@ SccCache::install(LineAddr line, std::uint64_t payload, bool dirty,
     return res;
 }
 
+void
+SccCache::prefetch(LineAddr line) const
+{
+    sets_.prefetch(setOf(line));
+}
+
 bool
 SccCache::contains(LineAddr line) const
 {

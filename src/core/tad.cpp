@@ -341,6 +341,10 @@ TadSetArray::TadSetArray(std::size_t sets, const TadGeometry &geometry)
     if (p == MAP_FAILED)
         dice_panic("cannot map %zu TAD sets", sets);
     recs_ = static_cast<TadSet *>(p);
+    // Probes land on random records across the whole array, so with
+    // 4-KiB pages nearly every probe also misses the TLB. Huge pages
+    // are only a hint: where the kernel declines, nothing changes.
+    ::madvise(p, sets * sizeof(TadSet), MADV_HUGEPAGE);
 }
 
 TadSetArray::~TadSetArray()

@@ -74,6 +74,11 @@ struct TadLookup
     /** True when the line lives inside a shared-tag pair item. */
     bool in_pair = false;
     std::uint64_t payload = 0;
+    /**
+     * Payload bytes stored for the holding item: the line's own
+     * compressed size for a single, the joint size for a pair.
+     */
+    std::uint32_t item_bytes = 0;
     /** True when the spatial neighbor (line^1) is also in this set. */
     bool neighbor_present = false;
     std::uint64_t neighbor_payload = 0;
@@ -283,6 +288,7 @@ class TadSetView
         res.bai = (f & kBai) != 0;
         res.in_pair = (f & kPair) != 0;
         res.payload = p.payloads[it].p[slot];
+        res.item_bytes = p.data_bytes[it];
 
         if (nb != n) {
             const std::uint8_t nf = p.flags[nb];
@@ -559,6 +565,19 @@ class TadSetArray
 
     TadSetRef operator[](std::size_t i) { return {recs_[i], pool_}; }
     TadSetView operator[](std::size_t i) const { return {recs_[i], pool_}; }
+
+    /**
+     * Start loading set @p i's record (both of its lines) into the
+     * host caches ahead of a probe. A spilled set's pool block is not
+     * prefetched: finding it means reading the record first.
+     */
+    void
+    prefetch(std::size_t i) const
+    {
+        const char *rec = reinterpret_cast<const char *>(recs_ + i);
+        __builtin_prefetch(rec);
+        __builtin_prefetch(rec + 64);
+    }
 
     /** Bytes of tags + payloads resident across all sets. O(sets). */
     std::uint64_t bytesUsed() const;

@@ -148,6 +148,12 @@ ToucheCache::install(LineAddr line, std::uint64_t payload, bool dirty,
     return res;
 }
 
+void
+ToucheCache::prefetch(LineAddr line) const
+{
+    sets_.prefetch(indexer_.tsi(line));
+}
+
 bool
 ToucheCache::contains(LineAddr line) const
 {

@@ -167,6 +167,7 @@ DramDevice::stats() const
     g.addFormula("bytes_moved", [this]() { return double(bytes_moved_); });
     g.addFormula("bus_busy_cycles",
                  [this]() { return double(bus_busy_cycles_); });
+    g.addFormula("avg_read_latency", [this]() { return avgReadLatency(); });
     return g;
 }
 

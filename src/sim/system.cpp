@@ -323,6 +323,22 @@ System::step(std::uint32_t cid)
         refs_lifetime_ % stats_interval_refs_ == 0)
         registry_.captureInterval(phase_, refs_lifetime_);
     cs.pending = cs.trace->next();
+    prefetchPending(cs.pending);
+}
+
+void
+System::prefetchPending(const MemRef &ref) const
+{
+    // This core steps again only after the other cores have, so the
+    // host-cache loads started here have that long to land before the
+    // reference's L4 probe, version lookup and (for a store) version
+    // bump touch the same random slots. Hints only: nothing modelled
+    // is read or written.
+    if (l4_)
+        l4_->prefetch(ref.line);
+    mem_.prefetchVersion(ref.line);
+    if (ref.is_write)
+        write_counts_.prefetch(ref.line);
 }
 
 void
@@ -375,8 +391,10 @@ System::resetAllStats()
 RunResult
 System::run()
 {
-    for (CoreState &cs : cores_)
+    for (CoreState &cs : cores_) {
         cs.pending = cs.trace->next();
+        prefetchPending(cs.pending);
+    }
 
     const std::uint64_t total_refs =
         cfg_.refs_per_core * cfg_.num_cores;

@@ -181,6 +181,9 @@ class System
     /** Process one reference of core @p cid; returns issue cycle. */
     void step(std::uint32_t cid);
 
+    /** Hint the host caches toward what @p ref's step will probe. */
+    void prefetchPending(const MemRef &ref) const;
+
     /** Run every core up to @p target_refs references. */
     void runPhase(std::uint64_t target_refs);
 

@@ -4,9 +4,9 @@
  * registered name, the unknown-name and mismatched-parameter error
  * paths, the cross-organization stat contract (every organization's
  * stats()/resetStats() behave identically with respect to the base
- * counters), and a polymorphic smoke simulation per organization
+ * counters), a polymorphic smoke simulation per organization
  * asserting structural invariants through the DramCache interface
- * alone.
+ * alone, and the prefetch() contract (a hint never changes state).
  */
 
 #include <gtest/gtest.h>
@@ -206,6 +206,57 @@ TEST(L4Registry, PolymorphicInvariantSmoke)
             }
         }
         EXPECT_GT(l4->validLines(), 0u);
+    }
+}
+
+/**
+ * prefetch() is a host-side hint: two instances fed the same read and
+ * install stream must end in the same state when only one of them is
+ * also handed prefetch() calls, including lines it never held and
+ * lines far outside the stream's footprint.
+ */
+TEST(L4Registry, PrefetchHintNeverChangesState)
+{
+    IntSource src;
+    for (const std::string &name : cacheNames()) {
+        SCOPED_TRACE(name);
+        const auto plain = L4Registry::instance().create(smallL4(name), src);
+        const auto hinted =
+            L4Registry::instance().create(smallL4(name), src);
+
+        auto drive = [](DramCache &l4, LineAddr line,
+                        std::uint64_t i) -> std::uint64_t {
+            const Cycle now = i * 4;
+            const L4ReadResult r = l4.read(line, now);
+            if (r.hit)
+                return r.payload ^ (r.done << 1);
+            const L4WriteResult w =
+                l4.install(line, i + 1, (i & 7) == 0, now, true);
+            for (const LineAddr fetch : w.fill_fetches)
+                l4.completeFill(fetch, fetch + 1, now);
+            std::uint64_t h = r.done;
+            for (const EvictedLine &wb : w.writebacks)
+                h = mix64(h, wb.line ^ (wb.payload << 20));
+            return h;
+        };
+
+        for (std::uint64_t i = 0; i < 20'000; ++i) {
+            const LineAddr line = mix64(i) % (1u << 16);
+            hinted->prefetch(mix64(i, 1) % (1u << 16));  // near the stream
+            hinted->prefetch(mix64(i, 2));               // anywhere
+            hinted->prefetch(LineAddr{1} << 40 | i);     // never installed
+            ASSERT_EQ(drive(*plain, line, i), drive(*hinted, line, i))
+                << "reference " << i;
+        }
+
+        EXPECT_EQ(plain->stats().collect(), hinted->stats().collect());
+        EXPECT_EQ(plain->device().stats().collect(),
+                  hinted->device().stats().collect());
+        EXPECT_EQ(plain->validLines(), hinted->validLines());
+        EXPECT_GT(plain->validLines(), 0u);
+        for (LineAddr line = 0; line < (1u << 16); ++line)
+            ASSERT_EQ(plain->contains(line), hinted->contains(line))
+                << "line " << line;
     }
 }
 

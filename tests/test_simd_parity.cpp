@@ -8,9 +8,8 @@
  *     plain array-of-structs reference model, with auditStorage() and
  *     byte accounting re-verified after every eviction (the per-set
  *     byte invariant regression pin).
- *  3. Codec batch fuzz: the batched compressedSizeBytes(span) route
- *     against both the single-line route and compress().sizeBytes(),
- *     for every codec.
+ *  3. Codec size fuzz: the size-only compressedSizeBytes() route
+ *     against compress().sizeBytes(), for every codec.
  *
  * Everything here runs twice — wide kernels active and forced scalar —
  * so a divergence is attributed to the kernel, not the model.
@@ -664,7 +663,7 @@ TEST(TadSetModel, RandomOpsMatchReferenceModel)
 }
 
 // ---------------------------------------------------------------------
-// 3. Codec batched sizing vs single-line route vs compress().
+// 3. Codec size-only route vs compress().
 // ---------------------------------------------------------------------
 
 Line
@@ -700,7 +699,7 @@ randomLine(Fuzz &fz)
     }
 }
 
-TEST(CodecBatchParity, BatchedSizingMatchesSingleAndCompress)
+TEST(CodecSizeParity, SizeOnlyRouteMatchesCompress)
 {
     const ZcaCodec zca;
     const FpcCodec fpc;
@@ -718,15 +717,8 @@ TEST(CodecBatchParity, BatchedSizingMatchesSingleAndCompress)
                 line = randomLine(fz);
 
             for (const Codec *codec : codecs) {
-                std::vector<std::uint32_t> batched(n, ~0u);
-                codec->compressedSizeBytes(lines.data(), n,
-                                           batched.data());
                 for (std::size_t i = 0; i < n; ++i) {
-                    const std::uint32_t single =
-                        codec->compressedSizeBytes(lines[i]);
-                    EXPECT_EQ(batched[i], single)
-                        << codec->name() << " line " << i;
-                    EXPECT_EQ(single,
+                    EXPECT_EQ(codec->compressedSizeBytes(lines[i]),
                               codec->compress(lines[i]).sizeBytes())
                         << codec->name() << " line " << i;
                 }

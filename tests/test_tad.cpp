@@ -132,6 +132,30 @@ TEST(TadSet, RemoveHalfOfPairLeavesSurvivorSingle)
     EXPECT_EQ(lk.payload, 22u);
 }
 
+TEST(TadSet, LookupReportsStoredItemBytes)
+{
+    TadSetArray sets(1);
+    TadSetRef s = sets[0];
+    // A single reports its own size; both halves of a pair report the
+    // pair's joint size.
+    s.insertSingle(10, 20, false, 1, false, 1);
+    s.insertPair(20, 30, false, 11, false, 22, false, 2);
+    EXPECT_EQ(s.lookup(10).item_bytes, 20u);
+    EXPECT_EQ(s.lookup(20).item_bytes, 30u);
+    EXPECT_EQ(s.lookup(21).item_bytes, 30u);
+
+    // removeAt splitting the pair leaves the survivor a single of the
+    // size it was handed.
+    const TadLookup even = s.lookup(20);
+    s.removeAt(even.item, 20, 17);
+    const TadLookup survivor = s.lookup(21);
+    ASSERT_TRUE(survivor.found);
+    EXPECT_FALSE(survivor.in_pair);
+    EXPECT_EQ(survivor.item_bytes, 17u);
+    EXPECT_EQ(s.lookup(10).item_bytes, 20u);
+    EXPECT_TRUE(s.auditStorage());
+}
+
 TEST(TadSet, RemoveDirtyHalfOfPairWritesBack)
 {
     TadSetArray sets(1);
