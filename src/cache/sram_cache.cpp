@@ -18,6 +18,7 @@ SramCache::SramCache(const SramCacheConfig &config) : config_(config)
     num_sets_ = static_cast<std::uint32_t>(lines / config.ways);
     dice_assert(isPowerOfTwo(num_sets_), "cache %s: %u sets not 2^k",
                 config.name.c_str(), num_sets_);
+    set_bits_ = floorLog2(num_sets_);
     ways_.resize(static_cast<std::size_t>(num_sets_) * config.ways);
 }
 
@@ -30,7 +31,7 @@ SramCache::setOf(LineAddr line) const
 std::uint64_t
 SramCache::tagOf(LineAddr line) const
 {
-    return line >> floorLog2(num_sets_);
+    return line >> set_bits_;
 }
 
 SramCache::Way *
@@ -100,7 +101,7 @@ SramCache::install(LineAddr line, bool dirty, std::uint64_t payload)
         const std::uint64_t set_idx =
             static_cast<std::uint64_t>(setOf(line));
         evicted = EvictedLine{
-            (victim->tag << floorLog2(num_sets_)) | set_idx,
+            (victim->tag << set_bits_) | set_idx,
             victim->dirty, victim->payload};
     }
 

@@ -114,6 +114,7 @@ class SramCache
 
     SramCacheConfig config_;
     std::uint32_t num_sets_;
+    std::uint32_t set_bits_; // log2(num_sets_)
     std::vector<Way> ways_; // num_sets_ * config_.ways, row-major
     std::uint64_t lru_clock_ = 0;
 

@@ -2,25 +2,16 @@
  * @file
  * Cache-friendly associative storage for the simulation hot loop.
  *
- * The simulator's per-reference state (line versions, write counts,
- * memoized compressed sizes) used to live in node-based
- * std::unordered_map instances — one pointer chase plus one heap
- * allocation per new key, repeated billions of times across a sweep.
- * Two purpose-built replacements live here:
- *
- *  - FlatMap<K, V>: open-addressed hash map over contiguous arrays.
- *    Power-of-two capacity, linear probing, and tombstone-free
- *    backward-shift erasure; inserts allocate only on (amortized,
- *    doubling) growth, so a `reserve`d map runs allocation-free.
- *
- *  - BoundedMemo<K, V>: fixed-capacity, generation-versioned memo
- *    table for pure-function results. Set-associative replacement
- *    keeps it O(1) and its footprint constant regardless of how many
- *    distinct keys flow through — the property the compressed cache's
- *    size memo needs over billion-reference runs.
- *
- * Both are deterministic: identical operation sequences produce
- * identical contents, so simulation results stay bit-reproducible.
+ * The simulator's per-reference state (line versions, write counts)
+ * used to live in node-based std::unordered_map instances — one
+ * pointer chase plus one heap allocation per new key, repeated
+ * billions of times across a sweep. FlatMap<K, V> replaces them: an
+ * open-addressed hash map over contiguous arrays with power-of-two
+ * capacity, linear probing, and tombstone-free backward-shift erasure.
+ * Inserts allocate only on (amortized, doubling) growth, so a
+ * `reserve`d map runs allocation-free. It is deterministic: identical
+ * operation sequences produce identical contents, so simulation
+ * results stay bit-reproducible.
  */
 
 #ifndef DICE_COMMON_FLAT_MAP_HPP
@@ -253,122 +244,6 @@ class FlatMap
     std::vector<Slot> slots_;
     std::size_t mask_ = 0;
     std::size_t size_ = 0;
-};
-
-/**
- * Fixed-footprint, generation-versioned memo table for pure-function
- * results (key -> value with value fully determined by key).
- *
- * Capacity is fixed at construction: 2^bucket_bits buckets of kWays
- * slots. A colliding insert deterministically replaces a way instead
- * of growing, so a miss only ever costs a recomputation — never a
- * heap allocation — and memory stays flat no matter how many distinct
- * keys pass through. clear() bumps the generation counter, lazily
- * invalidating every slot in O(1).
- *
- * Set @p PreHashed when keys are already well-mixed (e.g. mix64
- * outputs): the bucket then comes straight from the key's low bits
- * instead of rehashing.
- */
-template <typename K, typename V, bool PreHashed = false>
-class BoundedMemo
-{
-  public:
-    static constexpr std::uint32_t kWays = 4;
-
-    /** @param bucket_bits log2 of the bucket count (default 2^14). */
-    explicit BoundedMemo(std::uint32_t bucket_bits = 14)
-        : bucket_mask_((std::size_t{1} << bucket_bits) - 1),
-          buckets_(bucket_mask_ + 1)
-    {
-    }
-
-    /** Total slots (constant for the memo's lifetime). */
-    std::size_t slotCount() const { return buckets_.size() * kWays; }
-
-    /** Storage footprint in bytes (constant for the memo's lifetime). */
-    std::size_t
-    capacityBytes() const
-    {
-        return buckets_.size() * sizeof(Bucket);
-    }
-
-    /** Pointer to the memoized value of @p key, or nullptr on miss. */
-    const V *
-    find(const K &key) const
-    {
-        const std::uint64_t h = hashOf(key);
-        const Bucket &b = buckets_[h & bucket_mask_];
-        for (std::uint32_t w = 0; w < kWays; ++w) {
-            if (b.gens[w] == gen_ && b.keys[w] == key)
-                return &b.vals[w];
-        }
-        return nullptr;
-    }
-
-    /** Memoize key -> value, evicting a colliding way if needed. */
-    void
-    put(const K &key, V value)
-    {
-        const std::uint64_t h = hashOf(key);
-        Bucket &b = buckets_[h & bucket_mask_];
-        // Deterministic replacement way from independent hash bits.
-        auto victim = static_cast<std::uint32_t>(h >> 62);
-        for (std::uint32_t w = 0; w < kWays; ++w) {
-            if (b.gens[w] != gen_) {
-                victim = w; // prefer a stale slot
-                break;
-            }
-            if (b.keys[w] == key) {
-                victim = w; // refresh in place
-                break;
-            }
-        }
-        b.keys[victim] = key;
-        b.vals[victim] = std::move(value);
-        b.gens[victim] = gen_;
-    }
-
-    /** Invalidate everything in O(1) via the generation counter. */
-    void
-    clear()
-    {
-        ++gen_;
-        if (gen_ == 0) { // wrapped: slots with gen 0 must not revive
-            for (Bucket &b : buckets_)
-                std::fill(std::begin(b.gens), std::end(b.gens), 0);
-            gen_ = 1;
-        }
-    }
-
-  private:
-    static std::uint64_t
-    hashOf(const K &key)
-    {
-        if constexpr (PreHashed)
-            return static_cast<std::uint64_t>(key);
-        else
-            return mix64(static_cast<std::uint64_t>(key));
-    }
-
-    /**
-     * One bucket interleaves its ways' keys, values, and generations so
-     * a probe touches one cache line, not three parallel arrays — at
-     * the memo footprints the compressed cache uses (MiBs), every probe
-     * is a cache miss and the layout sets how many. For the 8-B-key /
-     * 4-B-value instantiation of the hot path, sizeof(Bucket) is
-     * exactly 64.
-     */
-    struct Bucket
-    {
-        K keys[kWays];
-        V vals[kWays];
-        std::uint32_t gens[kWays];
-    };
-
-    std::size_t bucket_mask_;
-    std::vector<Bucket> buckets_;
-    std::uint32_t gen_ = 1;
 };
 
 } // namespace dice

@@ -4,7 +4,6 @@
 
 #include "common/bitops.hpp"
 #include "common/log.hpp"
-#include "common/rng.hpp"
 #include "common/telemetry.hpp"
 
 namespace dice
@@ -113,32 +112,18 @@ CompressedDramCache::installScheme(LineAddr line, std::uint32_t size,
 
 std::uint32_t
 CompressedDramCache::sizeOf(LineAddr line, std::uint64_t payload,
-                            std::optional<Line> *synthesized) const
+                            Line &data) const
 {
-    // The memo is per cache instance, and a cache instance belongs to
-    // exactly one System: concurrent Systems (the parallel bench
-    // engine) each mutate their own memo, so no locking is needed.
-    // It is also bounded (collisions recompute, never grow) and the
-    // size-only codec route below performs no heap allocation, so the
-    // whole lookup path is allocation-free.
-    const std::uint64_t key = mix64(line, payload);
-    if (const std::uint32_t *hit = size_cache_.find(key)) {
-        ++size_memo_hits_;
-        return *hit;
-    }
-    ++size_memo_misses_;
-    const Line bytes = source_.bytes(line, payload);
-    const std::uint32_t size = codec_.compressedSizeBytes(bytes);
-    size_cache_.put(key, size);
-    if (synthesized != nullptr)
-        *synthesized = bytes;
-    return size;
+    // Not memoized: on the paper's workloads a (line, version) memo
+    // hits too few probes to pay for its host-cache misses (DESIGN.md
+    // 5b). The size-only codec route allocates nothing.
+    data = source_.bytes(line, payload);
+    return codec_.compressedSizeBytes(data);
 }
 
 std::uint32_t
-CompressedDramCache::pairSizeOf(LineAddr line, std::uint64_t payload,
+CompressedDramCache::pairSizeOf(LineAddr line, const Line &line_data,
                                 std::uint32_t line_bytes,
-                                const std::optional<Line> &line_data,
                                 std::uint64_t neighbor_payload,
                                 std::uint32_t neighbor_bytes) const
 {
@@ -150,25 +135,16 @@ CompressedDramCache::pairSizeOf(LineAddr line, std::uint64_t payload,
     if (sum <= 24)
         return sum;
 
-    // Otherwise synthesize only what is missing: the neighbor alone
-    // when sizeOf just synthesized the new line, else both halves in
-    // one bytesPair call so the source derives their common state once.
+    // Otherwise synthesize only the neighbor: sizeOf left the new
+    // line's bytes in hand.
     const auto h = static_cast<std::uint32_t>(line & 1); // new line's half
     Line lines[2];
     std::uint32_t half_bytes[2];
     half_bytes[h] = line_bytes;
     half_bytes[h ^ 1] = neighbor_bytes;
-    if (line_data) {
-        lines[h] = *line_data;
-        lines[h ^ 1] =
-            source_.bytes(SetIndexer::spatialNeighbor(line), neighbor_payload);
-    } else {
-        std::uint64_t versions[2];
-        versions[h] = payload;
-        versions[h ^ 1] = neighbor_payload;
-        source_.bytesPair(SetIndexer::pairBase(line), versions[0],
-                          versions[1], lines);
-    }
+    lines[h] = line_data;
+    lines[h ^ 1] =
+        source_.bytes(SetIndexer::spatialNeighbor(line), neighbor_payload);
     return codec_.pairSizeBytes(lines[0], lines[1], half_bytes[0],
                                 half_bytes[1]);
 }
@@ -297,7 +273,8 @@ CompressedDramCache::removeResident(TadSetRef set, LineAddr line,
         // reported the survivor's payload.
         dice_assert(lk.neighbor_present, "pair without its other half");
         const LineAddr neighbor = SetIndexer::spatialNeighbor(line);
-        survivor_bytes = sizeOf(neighbor, lk.neighbor_payload);
+        Line data;
+        survivor_bytes = sizeOf(neighbor, lk.neighbor_payload, data);
     }
     set.removeAt(lk.item, line, survivor_bytes);
 }
@@ -308,10 +285,9 @@ CompressedDramCache::install(LineAddr line, std::uint64_t payload,
 {
     ++installs_;
 
-    // The new line's bytes, when sizing it synthesized them: a pair
-    // sizing below then synthesizes only the neighbor.
-    std::optional<Line> line_data;
-    const std::uint32_t size = sizeOf(line, payload, &line_data);
+    // The new line's bytes: a pair sizing below reuses them.
+    Line line_data;
+    const std::uint32_t size = sizeOf(line, payload, line_data);
     bool invariant = false;
     const IndexScheme scheme = installScheme(line, size, invariant);
     const std::uint64_t target = indexer_.set(line, scheme);
@@ -407,7 +383,7 @@ CompressedDramCache::install(LineAddr line, std::uint64_t payload,
         dice_assert(!nb.in_pair, "neighbor paired without the line");
         const LineAddr base = SetIndexer::pairBase(line);
         const std::uint32_t pair_bytes = pairSizeOf(
-            line, payload, size, line_data, nb.payload, nb.item_bytes);
+            line, line_data, size, nb.payload, nb.item_bytes);
         if (kTadTagBytes + pair_bytes <= kTadSetBytes) { // pair fits a TAD
             removeResident(set, neighbor, nb);
             while (!set.fits(pair_bytes, 2)) {
@@ -476,15 +452,22 @@ CompressedDramCache::enableDecisionTrace(bool enabled)
         install_ring_.clear();
 }
 
-bool
-CompressedDramCache::contains(LineAddr line) const
+TadLookup
+CompressedDramCache::residentLookup(LineAddr line) const
 {
     for (const IndexScheme scheme :
          {IndexScheme::TSI, IndexScheme::NSI, IndexScheme::BAI}) {
-        if (sets_[indexer_.set(line, scheme)].contains(line))
-            return true;
+        const TadLookup lk = sets_[indexer_.set(line, scheme)].lookup(line);
+        if (lk.found)
+            return lk;
     }
-    return false;
+    return TadLookup{};
+}
+
+bool
+CompressedDramCache::contains(LineAddr line) const
+{
+    return residentLookup(line).found;
 }
 
 std::uint64_t
@@ -505,7 +488,6 @@ CompressedDramCache::resetStats()
     DramCache::resetStats();
     installs_invariant_ = installs_bai_ = installs_tsi_ = 0;
     pair_installs_ = second_probes_ = duplicate_scrubs_ = 0;
-    size_memo_hits_ = size_memo_misses_ = 0;
     cip_.resetStats();
 }
 
@@ -529,10 +511,6 @@ CompressedDramCache::stats() const
                  [this]() { return cip_.readAccuracy(); });
     g.addFormula("cip_write_accuracy",
                  [this]() { return cip_.writeAccuracy(); });
-    g.addFormula("size_memo_hits",
-                 [this]() { return double(size_memo_hits_); });
-    g.addFormula("size_memo_misses",
-                 [this]() { return double(size_memo_misses_); });
     g.addFormula("spilled_sets",
                  [this]() { return double(sets_.spilledSets()); });
     g.addFormula("overflow_pool_bytes",

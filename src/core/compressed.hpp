@@ -19,9 +19,6 @@
 #ifndef DICE_CORE_COMPRESSED_HPP
 #define DICE_CORE_COMPRESSED_HPP
 
-#include <optional>
-
-#include "common/flat_map.hpp"
 #include "common/ring_trace.hpp"
 #include "compress/hybrid.hpp"
 #include "core/cip.hpp"
@@ -114,13 +111,10 @@ class CompressedDramCache : public DramCache
     std::uint64_t bytesUsed() const override;
 
     /**
-     * Storage footprint of the compressed-size memo (constant for the
-     * cache's lifetime — it is bounded, see BoundedMemo).
+     * The TAD lookup of @p line in whichever set holds it (found ==
+     * false when it is not resident); lets tests read stored sizes.
      */
-    std::size_t sizeMemoCapacityBytes() const
-    {
-        return size_cache_.capacityBytes();
-    }
+    TadLookup residentLookup(LineAddr line) const;
 
     void resetStats() override;
 
@@ -156,22 +150,20 @@ class CompressedDramCache : public DramCache
                               bool &invariant) const;
 
     /**
-     * Compressed size (bytes) of the current data of @p line. When the
-     * memo misses and @p synthesized is given, the bytes just sized are
-     * left there for a pair sizing that follows.
+     * Compressed size (bytes) of the current data of @p line, always
+     * sized from real bytes: they are synthesized into @p data, where
+     * a pair sizing that follows can reuse them.
      */
     std::uint32_t sizeOf(LineAddr line, std::uint64_t payload,
-                         std::optional<Line> *synthesized = nullptr) const;
+                         Line &data) const;
 
     /**
-     * Compressed size (bytes) of the joint pair of @p line and its
-     * resident single neighbor, from both single sizes: @p line_bytes
-     * (with @p line_data, the line's bytes when sizing synthesized
-     * them) and the neighbor's stored @p neighbor_bytes.
+     * Compressed size (bytes) of the joint pair of @p line (bytes
+     * @p line_data, single size @p line_bytes) and its resident single
+     * neighbor (stored size @p neighbor_bytes).
      */
-    std::uint32_t pairSizeOf(LineAddr line, std::uint64_t payload,
+    std::uint32_t pairSizeOf(LineAddr line, const Line &line_data,
                              std::uint32_t line_bytes,
-                             const std::optional<Line> &line_data,
                              std::uint64_t neighbor_payload,
                              std::uint32_t neighbor_bytes) const;
 
@@ -199,22 +191,6 @@ class CompressedDramCache : public DramCache
 
     /** Dense per-set state, directly indexed by set number. */
     TadSetArray sets_;
-    /**
-     * Memoized compressed sizes keyed by mix64(line, version) (already
-     * mixed, hence PreHashed). Bounded and generation-versioned: a
-     * collision recomputes instead of growing, so the memo's footprint
-     * stays flat over arbitrarily long runs (it used to be an unbounded
-     * map that never evicted). Sizing note: with the vectorized
-     * codec sizing, a recompute (synthesize + size) costs about as much
-     * as a DRAM-latency probe miss, so a huge memo no longer pays —
-     * 2^14 buckets x 4 ways (1 MiB) keeps probes near-cache while
-     * still absorbing the hot working set.
-     */
-    mutable BoundedMemo<std::uint64_t, std::uint32_t, true> size_cache_{
-        14};
-    /** Probe outcomes of the size memo (exported as l4 stats). */
-    mutable std::uint64_t size_memo_hits_ = 0;
-    mutable std::uint64_t size_memo_misses_ = 0;
     std::uint64_t lru_clock_ = 0;
     /** Resident logical lines, maintained across install's mutations. */
     std::uint64_t valid_lines_ = 0;

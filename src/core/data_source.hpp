@@ -31,7 +31,7 @@ class LineDataSource
      * Bytes of the spatial pair (@p base, @p base|1) in one call;
      * @p base must be even. Always identical to two bytes() calls —
      * sources whose pair halves share derivation work may override
-     * this to do that work once (the pair-sizing path's batch entry).
+     * this to do that work once. No cache calls it any more.
      */
     virtual void
     bytesPair(LineAddr base, std::uint64_t even_version,

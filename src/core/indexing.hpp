@@ -126,18 +126,19 @@ class DramCacheAddressMapper
 {
   public:
     DramCacheAddressMapper(const DramTiming &timing,
-                           std::uint32_t tad_bytes = 72);
+                           std::uint32_t tad_bytes = 72)
+        : decoder_(timing, tad_bytes)
+    {
+    }
 
     /** TADs that fit in one row. */
-    std::uint32_t tadsPerRow() const { return tads_per_row_; }
+    std::uint32_t tadsPerRow() const { return decoder_.unitsPerRow(); }
 
     /** Decode @p set into channel/bank/row coordinates. */
-    DramCoord coord(std::uint64_t set) const;
+    DramCoord coord(std::uint64_t set) const { return decoder_.coord(set); }
 
   private:
-    std::uint32_t channels_;
-    std::uint32_t banks_;
-    std::uint32_t tads_per_row_;
+    DramRowDecoder decoder_;
 };
 
 } // namespace dice

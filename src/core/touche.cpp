@@ -49,16 +49,7 @@ ToucheCache::aliased(TadSetView set, LineAddr line) const
 std::uint32_t
 ToucheCache::sizeOf(LineAddr line, std::uint64_t payload) const
 {
-    const std::uint64_t key = mix64(line, payload);
-    if (const std::uint32_t *hit = size_cache_.find(key)) {
-        ++size_memo_hits_;
-        return *hit;
-    }
-    ++size_memo_misses_;
-    const std::uint32_t size =
-        codec_.compressedSizeBytes(source_.bytes(line, payload));
-    size_cache_.put(key, size);
-    return size;
+    return codec_.compressedSizeBytes(source_.bytes(line, payload));
 }
 
 L4ReadResult
@@ -177,7 +168,6 @@ ToucheCache::resetStats()
 {
     DramCache::resetStats();
     alias_checks_ = false_positives_ = 0;
-    size_memo_hits_ = size_memo_misses_ = 0;
 }
 
 StatGroup
@@ -188,10 +178,6 @@ ToucheCache::stats() const
                  [this]() { return double(alias_checks_); });
     g.addFormula("false_positives",
                  [this]() { return double(false_positives_); });
-    g.addFormula("size_memo_hits",
-                 [this]() { return double(size_memo_hits_); });
-    g.addFormula("size_memo_misses",
-                 [this]() { return double(size_memo_misses_); });
     g.addFormula("spilled_sets",
                  [this]() { return double(sets_.spilledSets()); });
     g.addFormula("overflow_pool_bytes",

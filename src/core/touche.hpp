@@ -29,7 +29,6 @@
 #ifndef DICE_CORE_TOUCHE_HPP
 #define DICE_CORE_TOUCHE_HPP
 
-#include "common/flat_map.hpp"
 #include "compress/hybrid.hpp"
 #include "core/data_source.hpp"
 #include "core/dram_cache.hpp"
@@ -69,6 +68,11 @@ class ToucheCache : public DramCache
     std::uint64_t aliasChecks() const { return alias_checks_; }
     /** Verifications that turned out to be misses (pure waste). */
     std::uint64_t falsePositives() const { return false_positives_; }
+    /** The TAD lookup of @p line in its set (tests read stored sizes). */
+    TadLookup residentLookup(LineAddr line) const
+    {
+        return sets_[indexer_.tsi(line)].lookup(line);
+    }
 
   private:
     std::uint32_t signatureOf(LineAddr line) const;
@@ -91,11 +95,6 @@ class ToucheCache : public DramCache
 
     /** Dense per-set state, directly indexed by TSI set number. */
     TadSetArray sets_;
-    mutable BoundedMemo<std::uint64_t, std::uint32_t, true> size_cache_{
-        14};
-    /** Probe outcomes of the size memo (exported as l4 stats). */
-    mutable std::uint64_t size_memo_hits_ = 0;
-    mutable std::uint64_t size_memo_misses_ = 0;
     std::uint64_t lru_clock_ = 0;
     /** Resident logical lines, maintained across install's mutations. */
     std::uint64_t valid_lines_ = 0;

@@ -2,10 +2,28 @@
 
 #include <algorithm>
 
+#include "common/bitops.hpp"
 #include "common/log.hpp"
 
 namespace dice
 {
+
+DramRowDecoder::DramRowDecoder(const DramTiming &timing,
+                               std::uint32_t unit_bytes)
+    : units_per_row_(timing.row_bytes / unit_bytes),
+      unit_shift_(isPowerOfTwo(units_per_row_)
+                      ? static_cast<int>(floorLog2(units_per_row_))
+                      : -1),
+      channels_(timing.channels), banks_(timing.banks_per_channel),
+      stripe_shifts_(isPowerOfTwo(channels_) && isPowerOfTwo(banks_)),
+      channel_bits_(floorLog2(channels_)), channel_mask_(channels_ - 1),
+      bank_mask_(banks_ - 1),
+      stripe_bits_(floorLog2(channels_) + floorLog2(banks_))
+{
+    dice_assert(units_per_row_ > 0, "row of %u B holds no %u-B unit",
+                timing.row_bytes, unit_bytes);
+    dice_assert(channels_ > 0 && banks_ > 0, "DRAM without banks");
+}
 
 DramDevice::DramDevice(std::string name, const DramTiming &timing)
     : name_(std::move(name)), timing_(timing),

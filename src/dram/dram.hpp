@@ -32,6 +32,64 @@ struct DramCoord
     std::uint64_t row = 0;
 };
 
+/**
+ * Decodes a unit number (a cache set, a memory line) into device
+ * coordinates: a row holds row_bytes / unit_bytes consecutive units,
+ * and consecutive row groups stripe across channels, then banks. The
+ * owners decode once or twice per reference, so the decode avoids
+ * 64-bit divides: power-of-two counts (channels and banks in every
+ * preset, lines per row for main memory) decode by shift and mask,
+ * and a units-per-row count that is not a power of two (28 TADs per
+ * 2-KB row) divides in 32 bits whenever the unit number fits. Other
+ * geometries fall back to `/` and `%`, with identical results.
+ */
+class DramRowDecoder
+{
+  public:
+    DramRowDecoder(const DramTiming &timing, std::uint32_t unit_bytes);
+
+    /** Units that fit in one row. */
+    std::uint32_t unitsPerRow() const { return units_per_row_; }
+
+    DramCoord
+    coord(std::uint64_t unit) const
+    {
+        std::uint64_t group;
+        if (unit_shift_ >= 0)
+            group = unit >> unit_shift_;
+        else if (unit <= UINT32_MAX)
+            group = static_cast<std::uint32_t>(unit) / units_per_row_;
+        else
+            group = unit / units_per_row_;
+
+        DramCoord c;
+        if (stripe_shifts_) {
+            c.channel = static_cast<std::uint32_t>(group) & channel_mask_;
+            c.bank = static_cast<std::uint32_t>(group >> channel_bits_) &
+                     bank_mask_;
+            c.row = group >> stripe_bits_;
+        } else {
+            c.channel = static_cast<std::uint32_t>(group % channels_);
+            c.bank = static_cast<std::uint32_t>((group / channels_) % banks_);
+            c.row = group / (static_cast<std::uint64_t>(channels_) * banks_);
+        }
+        return c;
+    }
+
+  private:
+    std::uint32_t units_per_row_;
+    /** log2(units_per_row_) when it is a power of two, else -1. */
+    int unit_shift_;
+    std::uint32_t channels_;
+    std::uint32_t banks_;
+    /** Channels and banks are both powers of two. */
+    bool stripe_shifts_;
+    std::uint32_t channel_bits_;
+    std::uint32_t channel_mask_;
+    std::uint32_t bank_mask_;
+    std::uint32_t stripe_bits_;
+};
+
 /** How an access interacts with the channel's scheduling. */
 enum class AccessKind : std::uint8_t
 {

@@ -4,23 +4,9 @@ namespace dice
 {
 
 MainMemory::MainMemory(const DramTiming &timing)
-    : device_("mem", timing), lines_per_row_(timing.row_bytes / kLineSize),
+    : device_("mem", timing), decoder_(timing, kLineSize),
       versions_(/*expected_keys=*/1 << 16)
 {
-}
-
-DramCoord
-MainMemory::coordOf(LineAddr line) const
-{
-    const DramTiming &t = device_.timing();
-    const std::uint64_t row_group = line / lines_per_row_;
-    DramCoord c;
-    c.channel = static_cast<std::uint32_t>(row_group % t.channels);
-    c.bank = static_cast<std::uint32_t>(
-        (row_group / t.channels) % t.banks_per_channel);
-    c.row = row_group /
-            (static_cast<std::uint64_t>(t.channels) * t.banks_per_channel);
-    return c;
 }
 
 DramResult

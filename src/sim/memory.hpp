@@ -44,11 +44,12 @@ class MainMemory
     DramDevice &device() { return device_; }
     const DramDevice &device() const { return device_; }
 
-  private:
-    DramCoord coordOf(LineAddr line) const;
+    /** Device coordinates of @p line (a row holds consecutive lines). */
+    DramCoord coordOf(LineAddr line) const { return decoder_.coord(line); }
 
+  private:
     DramDevice device_;
-    std::uint32_t lines_per_row_;
+    DramRowDecoder decoder_;
     /** Open-addressed line -> version store (hot on every writeback). */
     FlatMap<LineAddr, std::uint64_t> versions_;
 };

@@ -1,12 +1,18 @@
 /**
  * @file
  * Compressed DRAM cache tests: every policy, pair formation, CIP-driven
- * reads, duplicate scrubbing, capacity behavior, and the KNL variant.
+ * reads, duplicate scrubbing, capacity behavior, the KNL variant, and
+ * stored sizes against the codec (also for Touché).
  */
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "core/compressed.hpp"
+#include "core/touche.hpp"
 #include "workloads/datagen.hpp"
 
 namespace dice
@@ -401,27 +407,104 @@ TEST_P(CompressedPolicy, LineNeverResidentInTwoSets)
     EXPECT_EQ(found, l4.validLines());
 }
 
-TEST(CompressedCache, SizeMemoFootprintFlatOverLongRuns)
+/** Data source whose class varies with (line, version), so one
+ *  stream installs lines of every compressed size. */
+class MixedClassSource : public LineDataSource
 {
-    // Regression test for the unbounded size-cache growth the memo
-    // replaced: every (line, version) pair is a fresh memo key, so a
-    // run with 10x the references must leave the memo footprint — the
-    // only storage that scales with distinct keys — exactly constant.
-    FixedClassSource src(CompClass::C36);
-    CompressedDramCache l4(smallConfig(CompressionPolicy::Dice), src);
-    const std::size_t footprint = l4.sizeMemoCapacityBytes();
-    ASSERT_GT(footprint, 0u);
+  public:
+    Line
+    bytes(LineAddr line, std::uint64_t version) const override
+    {
+        const auto cls = static_cast<CompClass>(mix64(line, version) % 6);
+        return DataGenerator::synthesize(cls, line, version);
+    }
+};
 
-    std::uint64_t version = 0;
-    auto churn = [&](std::uint64_t installs) {
-        for (std::uint64_t i = 0; i < installs; ++i)
-            l4.install(i % 4096, ++version, true, i, false);
-    };
+/**
+ * Drives @p l4 with a random read/install/writeback stream over a
+ * footprint 4x its line count, then checks every resident line: its
+ * payload is its latest version, and its item's stored size is the
+ * codec's size of the line's (or pair's) synthesized bytes. Returns
+ * the {singles, pair items} checked.
+ */
+template <typename Cache>
+std::pair<std::uint64_t, std::uint64_t>
+checkStoredSizes(Cache &l4, const LineDataSource &src, LineAddr footprint)
+{
+    Rng rng(2017);
+    std::vector<std::uint64_t> version(footprint, 0);
+    for (std::uint64_t i = 0; i < 20 * footprint; ++i) {
+        const LineAddr line = rng.below(footprint);
+        switch (rng.below(3)) {
+          case 0:
+            if (!l4.read(line, i).hit)
+                l4.install(line, version[line], false, i, true);
+            break;
+          case 1: // writeback of a new version
+            l4.install(line, ++version[line], true, i, false);
+            break;
+          default: // clean fill whose probe went elsewhere
+            l4.install(line, version[line], false, i, false);
+            break;
+        }
+    }
 
-    churn(2'000);
-    EXPECT_EQ(l4.sizeMemoCapacityBytes(), footprint);
-    churn(20'000);
-    EXPECT_EQ(l4.sizeMemoCapacityBytes(), footprint);
+    HybridCodec codec;
+    std::uint64_t singles = 0, pairs = 0;
+    for (LineAddr line = 0; line < footprint; ++line) {
+        const TadLookup lk = l4.residentLookup(line);
+        if (!lk.found)
+            continue;
+        EXPECT_EQ(lk.payload, version[line]) << line;
+        if (!lk.in_pair) {
+            EXPECT_EQ(lk.item_bytes, codec.compressedSizeBytes(
+                                         src.bytes(line, lk.payload)))
+                << line;
+            ++singles;
+        } else if ((line & 1) == 0) {
+            EXPECT_EQ(lk.neighbor_payload, version[line | 1]) << line;
+            EXPECT_EQ(lk.item_bytes,
+                      codec.pairSizeBytes(
+                          src.bytes(line, lk.payload),
+                          src.bytes(line | 1, lk.neighbor_payload)))
+                << line;
+            ++pairs;
+        }
+    }
+    return {singles, pairs};
+}
+
+TEST(CompressedCache, StoredSizesMatchCodecOfSynthesizedBytes)
+{
+    // No memo sits between a line's bytes and its stored size: every
+    // resident item must be sized from the line's current data.
+    MixedClassSource src;
+    for (const CompressionPolicy policy :
+         {CompressionPolicy::Dice, CompressionPolicy::TsiOnly,
+          CompressionPolicy::BaiOnly}) {
+        SCOPED_TRACE(policyName(policy));
+        CompressedCacheConfig cfg = smallConfig(policy);
+        cfg.base.capacity = 64_KiB; // 1024 sets: the stream evicts
+        CompressedDramCache l4(cfg, src);
+        const auto [singles, pairs] =
+            checkStoredSizes(l4, src, 4 * cfg.base.capacity / kLineSize);
+        EXPECT_GT(singles, 100u);
+        if (policy != CompressionPolicy::TsiOnly) {
+            EXPECT_GT(pairs, 100u);
+        }
+    }
+}
+
+TEST(ToucheCache, StoredSizesMatchCodecOfSynthesizedBytes)
+{
+    MixedClassSource src;
+    DramCacheConfig cfg;
+    cfg.capacity = 64_KiB;
+    ToucheCache l4(cfg, ToucheL4Params{}, src);
+    const auto [singles, pairs] =
+        checkStoredSizes(l4, src, 4 * cfg.capacity / kLineSize);
+    EXPECT_GT(singles, 1000u);
+    EXPECT_EQ(pairs, 0u); // Touché stores singles only
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,11 +1,10 @@
 /**
  * @file
  * Tests of the hot-loop storage primitives: FlatMap (open-addressed
- * map with backward-shift erasure), BoundedMemo (fixed-footprint
- * generation-versioned memo), and SmallVector (inline-first writeback
- * buffer). The randomized FlatMap test cross-checks every operation
- * against std::unordered_map, with heavy erasure to exercise the
- * probe-chain repair paths.
+ * map with backward-shift erasure) and SmallVector (inline-first
+ * writeback buffer). The randomized FlatMap test cross-checks every
+ * operation against std::unordered_map, with heavy erasure to exercise
+ * the probe-chain repair paths.
  */
 
 #include <gtest/gtest.h>
@@ -163,65 +162,6 @@ TEST(FlatMap, RandomizedAgainstUnorderedMap)
     for (const auto &[k, v] : ref) {
         ASSERT_NE(flat.find(k), nullptr) << k;
         EXPECT_EQ(*flat.find(k), v) << k;
-    }
-}
-
-TEST(BoundedMemo, MemoizesAndStaysBounded)
-{
-    using Memo = BoundedMemo<std::uint64_t, std::uint32_t>;
-    Memo memo(4); // 16 buckets
-    const std::size_t footprint = memo.capacityBytes();
-    EXPECT_EQ(memo.slotCount(), (std::size_t{1} << 4) * Memo::kWays);
-
-    memo.put(7, 70);
-    ASSERT_NE(memo.find(7), nullptr);
-    EXPECT_EQ(*memo.find(7), 70u);
-
-    // Push far more distinct keys than slots: the memo must keep
-    // serving lookups (possibly recomputing) at constant footprint.
-    for (std::uint64_t k = 0; k < 10'000; ++k)
-        memo.put(k, static_cast<std::uint32_t>(k));
-    EXPECT_EQ(memo.capacityBytes(), footprint);
-
-    // Whatever is found must be correct — collisions evict, never lie.
-    std::size_t hits = 0;
-    for (std::uint64_t k = 0; k < 10'000; ++k) {
-        if (const std::uint32_t *v = memo.find(k)) {
-            EXPECT_EQ(*v, static_cast<std::uint32_t>(k));
-            ++hits;
-        }
-    }
-    EXPECT_GT(hits, 0u);
-    EXPECT_LE(hits, memo.slotCount());
-}
-
-TEST(BoundedMemo, GenerationClearInvalidatesEverything)
-{
-    BoundedMemo<std::uint64_t, std::uint32_t> memo(4);
-    for (std::uint64_t k = 0; k < 32; ++k)
-        memo.put(k, 1);
-    memo.clear();
-    for (std::uint64_t k = 0; k < 32; ++k)
-        EXPECT_EQ(memo.find(k), nullptr) << k;
-    memo.put(3, 33);
-    ASSERT_NE(memo.find(3), nullptr);
-    EXPECT_EQ(*memo.find(3), 33u);
-}
-
-TEST(BoundedMemo, DeterministicReplacement)
-{
-    BoundedMemo<std::uint64_t, std::uint32_t> a(4);
-    BoundedMemo<std::uint64_t, std::uint32_t> b(4);
-    for (std::uint64_t k = 0; k < 5'000; ++k) {
-        a.put(k * 17, static_cast<std::uint32_t>(k));
-        b.put(k * 17, static_cast<std::uint32_t>(k));
-    }
-    for (std::uint64_t k = 0; k < 5'000; ++k) {
-        const std::uint32_t *va = a.find(k * 17);
-        const std::uint32_t *vb = b.find(k * 17);
-        ASSERT_EQ(va == nullptr, vb == nullptr) << k;
-        if (va)
-            EXPECT_EQ(*va, *vb) << k;
     }
 }
 

@@ -2,17 +2,65 @@
  * @file
  * Indexing-scheme invariants (paper Section 4.5, Figure 6): spatial
  * pairing, the 50% TSI-invariance of BAI, the neighbor-set property,
- * and DRAM-row co-location of the two candidate sets.
+ * and DRAM-row co-location of the two candidate sets; plus the DRAM
+ * coordinate decode of the cache mapper and of main memory.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.hpp"
 #include "core/indexing.hpp"
+#include "sim/memory.hpp"
 
 namespace dice
 {
 namespace
 {
+
+/** Timing presets, doubled channels, and one geometry whose channel,
+ *  bank and per-row counts are none of them powers of two. */
+std::vector<DramTiming>
+decodeGeometries()
+{
+    DramTiming doubled = DramTiming::stackedL4();
+    doubled.channels *= 2;
+    DramTiming odd = DramTiming::stackedL4();
+    odd.channels = 3;
+    odd.banks_per_channel = 12;
+    odd.row_bytes = 1536;
+    return {DramTiming::stackedL4(), DramTiming::mainMemoryDdr(), doubled,
+            odd};
+}
+
+/** The division-based decode the shift/mask path must reproduce. */
+DramCoord
+divisionCoord(const DramTiming &t, std::uint32_t unit_bytes,
+              std::uint64_t unit)
+{
+    const std::uint64_t group = unit / (t.row_bytes / unit_bytes);
+    DramCoord c;
+    c.channel = static_cast<std::uint32_t>(group % t.channels);
+    c.bank = static_cast<std::uint32_t>((group / t.channels) %
+                                        t.banks_per_channel);
+    c.row = group / (std::uint64_t{t.channels} * t.banks_per_channel);
+    return c;
+}
+
+/** Random units of every magnitude, plus the 32-bit boundary. */
+std::vector<std::uint64_t>
+decodeSamples()
+{
+    std::vector<std::uint64_t> units = {0, 1, 27, 28, UINT32_MAX,
+                                        std::uint64_t{UINT32_MAX} + 1,
+                                        ~std::uint64_t{0}};
+    Rng rng(7);
+    for (int i = 0; i < 20000; ++i)
+        units.push_back(rng.next() >> rng.below(64));
+    return units;
+}
+
 
 TEST(Indexing, PaperFigure6Example)
 {
@@ -126,6 +174,34 @@ TEST(Indexing, MapperStripesRowGroupsAcrossChannels)
     const DramCoord a = mapper.coord(0);
     const DramCoord b = mapper.coord(28); // next row group
     EXPECT_NE(a.channel, b.channel);
+}
+
+TEST(Indexing, MapperMatchesDivisionReference)
+{
+    for (const DramTiming &t : decodeGeometries()) {
+        const DramCacheAddressMapper mapper(t);
+        for (const std::uint64_t set : decodeSamples()) {
+            const DramCoord got = mapper.coord(set);
+            const DramCoord want = divisionCoord(t, 72, set);
+            ASSERT_EQ(got.channel, want.channel) << t.channels << " " << set;
+            ASSERT_EQ(got.bank, want.bank) << t.channels << " " << set;
+            ASSERT_EQ(got.row, want.row) << t.channels << " " << set;
+        }
+    }
+}
+
+TEST(MainMemory, CoordMatchesDivisionReference)
+{
+    for (const DramTiming &t : decodeGeometries()) {
+        const MainMemory mem(t);
+        for (const std::uint64_t line : decodeSamples()) {
+            const DramCoord got = mem.coordOf(line);
+            const DramCoord want = divisionCoord(t, kLineSize, line);
+            ASSERT_EQ(got.channel, want.channel) << t.channels << " " << line;
+            ASSERT_EQ(got.bank, want.bank) << t.channels << " " << line;
+            ASSERT_EQ(got.row, want.row) << t.channels << " " << line;
+        }
+    }
 }
 
 TEST(Indexing, IndexSchemeNames)
