@@ -77,20 +77,6 @@ cacheEnabled()
     return std::getenv("DICE_BENCH_NO_CACHE") == nullptr;
 }
 
-/**
- * Reference streams depend only on (workload, seed, cores, capacity,
- * length), never on the L4 organization, so freshly-simulated cells
- * pull their traces from the process-wide TraceArena: a sweep
- * generates each stream once and every organization column replays
- * it. DICE_TRACE_ARENA=0 falls back to live per-cell generation.
- */
-bool
-arenaEnabled()
-{
-    const char *env = std::getenv("DICE_TRACE_ARENA");
-    return env == nullptr || std::string(env) != "0";
-}
-
 std::string
 resultFileName(const std::string &workload, const SystemConfig &config,
                const std::string &cache_key)
@@ -230,14 +216,13 @@ exportCellStats(const System &sys, const std::string &workload,
 
 /**
  * DICE_PROGRESS=1 heartbeat: one line per completed cell with the
- * sweep position, cumulative simulation throughput, and the arena's
- * residency. Serialized by its own mutex so parallel workers never
- * interleave; on a tty the line redraws in place.
+ * sweep position and cumulative simulation throughput. Serialized by
+ * its own mutex so parallel workers never interleave; on a tty the
+ * line redraws in place.
  */
 void
 printProgress(std::size_t done, std::size_t total, double elapsed_s)
 {
-    const TraceArena::Stats arena = TraceArena::instance().stats();
     const double refs =
         static_cast<double>(g_simulated_refs.load(std::memory_order_relaxed));
     const double mrefs_per_s =
@@ -249,13 +234,8 @@ printProgress(std::size_t done, std::size_t total, double elapsed_s)
 #endif
     static std::mutex mu;
     std::lock_guard lock(mu);
-    std::fprintf(stderr,
-                 "%s[progress] %zu/%zu cells | %.2f Mref/s | arena "
-                 "%.1f MiB, %llu entries%s",
+    std::fprintf(stderr, "%s[progress] %zu/%zu cells | %.2f Mref/s%s",
                  tty ? "\r" : "", done, total, mrefs_per_s,
-                 static_cast<double>(arena.resident_bytes) /
-                     (1024.0 * 1024.0),
-                 static_cast<unsigned long long>(arena.entries),
                  tty ? (done == total ? "\n" : "") : "\n");
     std::fflush(stderr);
 }
@@ -339,18 +319,17 @@ namespace
 // The coordinator never sends cell data over a pipe: every
 // participant re-runs the same deterministic binary, deterministically
 // enumerates the same canonical cell vector, and publishes results
-// through the shared persistent caches (bench_cache/ for RunResults,
-// bench_cache/arena/ for reference streams). Which participant
-// simulates which cell is decided by the work-stealing claim queue
-// (bench/sweep_queue.hpp): everyone loops "claim next unowned cell →
-// simulate → publish per-cell doc → release", crashed holders' leases
-// expire and their cells are silently requeued, and extra --join
-// workers (other processes, or other hosts sharing the filesystem)
-// attach to the same queue mid-sweep. The coordinator then replays
-// the batch as pure cache loads in canonical order, which makes its
-// stdout, golden digests, and merged document byte-identical to a
-// serial run no matter who computed what or how many times a cell was
-// reclaimed. DICE_SWEEP_STATIC=1 falls back to the legacy static
+// through the shared persistent result cache (bench_cache/). Which
+// participant simulates which cell is decided by the work-stealing
+// claim queue (bench/sweep_queue.hpp): everyone loops "claim next
+// unowned cell → simulate → publish per-cell doc → release", crashed
+// holders' leases expire and their cells are silently requeued, and
+// extra --join workers (other processes, or other hosts sharing the
+// filesystem) attach to the same queue mid-sweep. The coordinator
+// then replays the batch as pure cache loads in canonical order, which
+// makes its stdout, golden digests, and merged document byte-identical
+// to a serial run no matter who computed what or how many times a cell
+// was reclaimed. DICE_SWEEP_STATIC=1 falls back to the legacy static
 // sharding (worker i owns canonical indices ≡ i mod M) for A/B
 // scheduling comparisons.
 
@@ -498,8 +477,7 @@ queueCellsFor(const std::vector<const SimCell *> &work)
 /**
  * One cell as a JSON object: identity, golden digest, and every
  * RunResult field. Rendered only from the (cache-round-trip-exact)
- * RunResult — never from the StatRegistry, whose process-global
- * trace_arena group depends on execution order — so serial and
+ * RunResult, which a cache load reproduces bit for bit, so serial and
  * distributed runs render identical bytes.
  */
 std::string
@@ -580,14 +558,10 @@ struct ParticipantAgg
 };
 
 /** Cross-batch totals of what worker processes reported, plus the
- *  coordinator's own claim-loop work (its arena counters are tracked
- *  by the arena itself). */
+ *  coordinator's own claim-loop work. */
 struct SweepTotals
 {
     std::uint64_t worker_cells = 0;
-    std::uint64_t worker_generations = 0;
-    std::uint64_t worker_disk_hits = 0;
-    std::uint64_t worker_spills = 0;
     std::uint64_t worker_stolen = 0;
     std::uint64_t worker_requeued = 0;
     std::uint64_t worker_busy_ms = 0;
@@ -801,9 +775,6 @@ accumulateWorkerSummaries()
             if (!parseSummary(content, s))
                 return false;
             totals.worker_cells += s.cells;
-            totals.worker_generations += s.generations;
-            totals.worker_disk_hits += s.disk_hits;
-            totals.worker_spills += s.spills;
             totals.worker_stolen += s.stolen;
             totals.worker_requeued += s.requeued;
             totals.worker_busy_ms += s.busy_ms;
@@ -832,21 +803,19 @@ accumulateWorkerSummaries()
 }
 
 /**
- * Render one participant's summary file. Arena counters and phase
- * histograms are process-cumulative, so the caller passes the
- * snapshots taken at batch start (@p since / @p phases_since) and the
- * summary reports the deltas — a multi-batch participant (a --join
- * worker) never double-counts across its summaries. The slowest-cell
- * record stays cumulative: it merges by max, which is idempotent.
+ * Render one participant's summary file. Phase histograms are
+ * process-cumulative, so the caller passes the snapshot taken at batch
+ * start (@p phases_since) and the summary reports the deltas — a
+ * multi-batch participant (a --join worker) never double-counts
+ * across its summaries. The slowest-cell record stays cumulative: it
+ * merges by max, which is idempotent.
  */
 std::string
 summaryLine(unsigned long batch, std::uint64_t cells,
             const QueueStats &qs, std::uint64_t busy_ms,
             std::uint64_t span_ms, unsigned jobs,
-            const TraceArena::Stats &since,
             const std::array<LogHistogram, kSweepPhases> &phases_since)
 {
-    const TraceArena::Stats now = TraceArena::instance().stats();
     SummaryRecord s;
     s.batch = batch;
     s.cells = cells;
@@ -855,9 +824,6 @@ summaryLine(unsigned long batch, std::uint64_t cells,
     s.busy_ms = busy_ms;
     s.span_ms = span_ms;
     s.jobs = jobs;
-    s.generations = now.generations - since.generations;
-    s.disk_hits = now.disk_hits - since.disk_hits;
-    s.spills = now.spills - since.spills;
     const std::array<LogHistogram, kSweepPhases> phases =
         SweepMetrics::instance().snapshotAll();
     for (unsigned i = 0; i < kSweepPhases; ++i) {
@@ -875,13 +841,12 @@ summaryLine(unsigned long batch, std::uint64_t cells,
 #endif // !_WIN32
 
 /**
- * The machine-readable sweep summary: trace-generation accounting plus
- * the scheduling record (who claimed, stole, and requeued what, and
- * how busy each participant was). Not part of the byte-identical
- * contract — it reports *how* the run executed, which legitimately
- * differs between serial and distributed runs; CI uses it to prove a
- * warm arena rerun generated zero streams and that a skewed sweep
- * actually stole work.
+ * The machine-readable sweep summary: the scheduling record (who
+ * claimed, stole, and requeued what, and how busy each participant
+ * was). Not part of the byte-identical contract — it reports *how*
+ * the run executed, which legitimately differs between serial and
+ * distributed runs; CI uses it to prove that a skewed sweep actually
+ * stole work.
  */
 /** One histogram as a JSON object of its summary statistics. */
 void
@@ -907,7 +872,6 @@ appendHistJson(std::string &out, const LogHistogram &h)
 void
 writeSweepSummary()
 {
-    const TraceArena::Stats arena = TraceArena::instance().stats();
     const SweepTotals &totals = sweepTotals();
 
     // Phase latencies merged across every participant: the
@@ -954,13 +918,7 @@ writeSweepSummary()
     out += ",\n \"requeued\": ";
     out += std::to_string(totals.worker_requeued +
                           totals.coordinator.requeued);
-    out += ",\n \"coordinator\": {\"generations\": ";
-    out += std::to_string(arena.generations);
-    out += ", \"disk_hits\": ";
-    out += std::to_string(arena.disk_hits);
-    out += ", \"spills\": ";
-    out += std::to_string(arena.spills);
-    out += ", \"cells\": ";
+    out += ",\n \"coordinator\": {\"cells\": ";
     out += std::to_string(totals.coordinator.cells);
     out += ", \"stolen\": ";
     out += std::to_string(totals.coordinator.stolen);
@@ -976,12 +934,6 @@ writeSweepSummary()
                                       totals.coordinator.jobs));
     out += "},\n \"workers\": {\"cells\": ";
     out += std::to_string(totals.worker_cells);
-    out += ", \"generations\": ";
-    out += std::to_string(totals.worker_generations);
-    out += ", \"disk_hits\": ";
-    out += std::to_string(totals.worker_disk_hits);
-    out += ", \"spills\": ";
-    out += std::to_string(totals.worker_spills);
     out += ", \"stolen\": ";
     out += std::to_string(totals.worker_stolen);
     out += ", \"requeued\": ";
@@ -1056,8 +1008,6 @@ writeSweepSummary()
         }
         out += first_warn ? "]" : "\n ]";
     }
-    out += ",\n \"total_generations\": ";
-    out += std::to_string(arena.generations + totals.worker_generations);
     out += "\n}\n";
     std::error_code ec;
     std::filesystem::create_directories(resultsDir(), ec);
@@ -1208,9 +1158,9 @@ drainSweepQueue(SweepQueue &q, const std::vector<const SimCell *> &work,
  * shard; every claim counts as stolen). Heartbeats after every
  * published cell; ends with either a summary file for the coordinator
  * to accumulate or, when @p record is non-null (the coordinator
- * itself), an in-process record — the coordinator's arena counters
- * are already reported directly, so it must not also write a summary
- * that would double-count them.
+ * itself), an in-process record that goes straight into the totals —
+ * the coordinator must not also write a summary that would
+ * double-count it.
  */
 void
 runCellsQueueParticipant(const std::vector<const SimCell *> &work,
@@ -1224,7 +1174,6 @@ runCellsQueueParticipant(const std::vector<const SimCell *> &work,
                  shard_count);
     const unsigned jobs = benchJobs();
     const auto t0 = std::chrono::steady_clock::now();
-    const TraceArena::Stats since = TraceArena::instance().stats();
     const std::array<LogHistogram, kSweepPhases> phases_since =
         SweepMetrics::instance().snapshotAll();
     // The summary is rewritten (atomically) after every publish, not
@@ -1238,8 +1187,7 @@ runCellsQueueParticipant(const std::vector<const SimCell *> &work,
         const QueueStats qs = q.stats();
         atomicWriteFile(resultsDir() / (name + ".summary"),
                         summaryLine(batch, qs.published, qs, busy_ms,
-                                    elapsedMs(t0), jobs, since,
-                                    phases_since));
+                                    elapsedMs(t0), jobs, phases_since));
     };
     writeHeartbeat(name, batch, 0, work.size(), QueueStats{}, 0);
     write_summary(0);
@@ -1284,7 +1232,6 @@ runCellsWorkerStatic(const std::vector<const SimCell *> &work,
     const std::string name = "worker" + std::to_string(m.worker_index);
     const unsigned jobs = benchJobs();
     const auto t0 = std::chrono::steady_clock::now();
-    const TraceArena::Stats since = TraceArena::instance().stats();
     const std::array<LogHistogram, kSweepPhases> phases_since =
         SweepMetrics::instance().snapshotAll();
     std::atomic<std::size_t> done{0};
@@ -1307,7 +1254,7 @@ runCellsWorkerStatic(const std::vector<const SimCell *> &work,
     atomicWriteFile(resultsDir() / (name + ".summary"),
                     summaryLine(batch, mine.size(), QueueStats{},
                                 busy_ms.load(), elapsedMs(t0), jobs,
-                                since, phases_since));
+                                phases_since));
 }
 
 /**
@@ -1719,29 +1666,10 @@ runWorkload(const std::string &workload, const SystemConfig &config,
             jr.begin("cell", stem);
         TraceSpan cell_span("cell", workload + "/" + cache_key,
                             cellArgsJson(workload, cache_key));
-        std::vector<WorkloadProfile> profiles =
-            workloadProfiles(workload, config.num_cores);
-        std::shared_ptr<const TraceSet> replay;
-        if (arenaEnabled()) {
-            const auto gen_t0 = std::chrono::steady_clock::now();
-            const std::uint64_t gen_m0 =
-                jr.enabled() ? jr.monoUs() : 0;
-            if (jr.enabled())
-                jr.begin("generate", stem);
-            TraceSpan gen_span("generate", workload);
-            // +1: the simulator primes one reference ahead of the
-            // warmup + measurement budget.
-            replay = TraceArena::instance().acquire(
-                workload, config.seed, config.num_cores,
-                config.reference_capacity,
-                config.warmup_refs_per_core + config.refs_per_core + 1,
-                profiles, benchJobs());
-            const std::uint64_t gen_us = usSince(gen_t0);
-            sm.sample(SweepPhase::Generate, gen_us);
-            if (jr.enabled())
-                jr.phase("generate", stem, gen_m0, gen_us);
-        }
-        System sys(config, std::move(profiles), std::move(replay));
+        // Each cell generates its reference streams live: a stream
+        // costs ~3% of a cell, and holding every stream of a sweep
+        // resident would cost more memory than replaying saves time.
+        System sys(config, workloadProfiles(workload, config.num_cores));
         {
             const auto sim_t0 = std::chrono::steady_clock::now();
             const std::uint64_t sim_m0 =

@@ -17,19 +17,16 @@
  * files. After the batch run, the per-cell accessors (runWorkload,
  * speedupOver) are cheap cache hits.
  *
- * Freshly-simulated cells draw their reference streams from the
- * process-wide TraceArena: each (workload, seed) stream is generated
- * once per sweep and replayed bit-identically by every organization
- * column (DICE_TRACE_ARENA=0 disables; DICE_TRACE_ARENA_BYTES bounds
- * resident stream memory).
+ * Freshly-simulated cells generate their reference streams live, so a
+ * sweep holds only the streams of the cells in flight.
  *
  * Observability (all off by default; see README "Telemetry"):
  *  - DICE_STATS_JSON / DICE_STATS_CSV: per-cell stat-registry export
  *    into the named directory, one document per fresh cell.
- *  - DICE_TRACE_OUT: Chrome trace-event JSON of per-worker cell
- *    generate/simulate spans (view in Perfetto).
- *  - DICE_PROGRESS=1: heartbeat line with cells done/total, refs/sec,
- *    and trace-arena residency.
+ *  - DICE_TRACE_OUT: Chrome trace-event JSON of per-worker cell and
+ *    simulate spans (view in Perfetto).
+ *  - DICE_PROGRESS=1: heartbeat line with cells done/total and
+ *    refs/sec.
  */
 
 #ifndef DICE_BENCH_HARNESS_HPP
@@ -135,11 +132,11 @@ unsigned benchJobs();
  * sharding (no stealing) for A/B comparison. Every distributed batch
  * leaves <results>/sweep_summary.json describing how it executed:
  * scheduler, total stolen/requeued, per-participant cells, busy/span
- * seconds, utilization, trace-arena counters, merged per-phase
- * latency percentiles (phase_latency_us), the slowest cell, and
- * anomaly warnings (straggler threshold DICE_SWEEP_STRAGGLER_K,
- * default 4 x p90). DICE_SWEEP_EVENTS=1 additionally journals every
- * participant's events to <results>/events/*.jsonl and merges them
+ * seconds, utilization, merged per-phase latency percentiles
+ * (phase_latency_us), the slowest cell, and anomaly warnings
+ * (straggler threshold DICE_SWEEP_STRAGGLER_K, default 4 x p90).
+ * DICE_SWEEP_EVENTS=1 additionally journals every
+ * participant's events to <results>/events/<name>.jsonl and merges them
  * into a Chrome trace at <results>/timeline.json (override with
  * DICE_SWEEP_TIMELINE); see README "Sweep observability".
  */

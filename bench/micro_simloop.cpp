@@ -21,7 +21,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <new>
 
 #include "common/simd.hpp"
@@ -29,7 +28,6 @@
 #include "compress/hybrid.hpp"
 #include "core/tad.hpp"
 #include "harness.hpp"
-#include "workloads/arena_store.hpp"
 #include "workloads/datagen.hpp"
 #include "workloads/trace_arena.hpp"
 
@@ -213,7 +211,7 @@ streamRefs(const SystemConfig &cfg)
     return cfg.warmup_refs_per_core + cfg.refs_per_core + 1;
 }
 
-/** Packed pre-generation throughput: what the arena pays per miss. */
+/** Packed pre-generation throughput: what a replay set costs to build. */
 void
 BM_TraceGen(benchmark::State &state)
 {
@@ -233,86 +231,11 @@ BM_TraceGen(benchmark::State &state)
 }
 BENCHMARK(BM_TraceGen);
 
-/** Temp spill directory shared by the two arena-store benchmarks. */
-std::filesystem::path
-bmArenaDir()
-{
-    return std::filesystem::temp_directory_path() /
-           "dice_bm_arena_store";
-}
-
 /**
- * Arena spill throughput (GB/s): serialize + checksum + temp write +
- * atomic rename of one packed trace set — what a generating worker
- * pays once per key on top of the generation itself. Compare against
- * BM_TraceGen to see the spill's share of a cold miss.
- */
-void
-BM_ArenaSpill(benchmark::State &state)
-{
-    const SystemConfig cfg = simBase(30'000);
-    const auto profiles = workloadProfiles(kWorkload, cfg.num_cores);
-    const auto set = dice::generateTraceSet(
-        profiles, cfg.num_cores, cfg.reference_capacity, cfg.seed,
-        streamRefs(cfg), 1);
-    const dice::ArenaStore store(bmArenaDir());
-    const dice::ArenaStoreKey key{kWorkload, cfg.seed, cfg.num_cores,
-                                  cfg.reference_capacity,
-                                  streamRefs(cfg)};
-    std::string blob;
-    dice::ArenaStore::serialize(*set, blob);
-    for (auto _ : state) {
-        const bool ok = store.save(key, *set);
-        benchmark::DoNotOptimize(ok);
-    }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(blob.size()) * state.iterations());
-}
-BENCHMARK(BM_ArenaSpill);
-
-/**
- * Arena load throughput (GB/s): read + validate + rebuild the packed
- * planes from a warm spill file — what every later process pays
- * instead of regenerating. The refs/sec-equivalent is usually orders
- * of magnitude above BM_TraceGen; that gap is the whole point of the
- * persistent store.
- */
-void
-BM_ArenaLoad(benchmark::State &state)
-{
-    const SystemConfig cfg = simBase(30'000);
-    const auto profiles = workloadProfiles(kWorkload, cfg.num_cores);
-    const auto set = dice::generateTraceSet(
-        profiles, cfg.num_cores, cfg.reference_capacity, cfg.seed,
-        streamRefs(cfg), 1);
-    const dice::ArenaStore store(bmArenaDir());
-    const dice::ArenaStoreKey key{kWorkload, cfg.seed, cfg.num_cores,
-                                  cfg.reference_capacity,
-                                  streamRefs(cfg)};
-    if (!store.save(key, *set)) {
-        state.SkipWithError("cannot write spill file");
-        return;
-    }
-    std::string blob;
-    dice::ArenaStore::serialize(*set, blob);
-    for (auto _ : state) {
-        std::shared_ptr<const dice::TraceSet> loaded;
-        const bool ok = store.load(key, loaded);
-        benchmark::DoNotOptimize(ok);
-        benchmark::DoNotOptimize(&loaded);
-    }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(blob.size()) * state.iterations());
-    std::error_code ec;
-    std::filesystem::remove_all(bmArenaDir(), ec);
-}
-BENCHMARK(BM_ArenaLoad);
-
-/**
- * The simulation loop replaying an arena stream instead of running
- * the generator inline. The refs/sec delta against BM_SimLoop of the
- * same organization is the per-cell trace-generation share a sweep
- * saves on every column after the first.
+ * The simulation loop replaying a pre-generated stream instead of
+ * running the generator inline. The refs/sec delta against BM_SimLoop
+ * of the same organization is the per-cell trace-generation share
+ * that replay could save.
  */
 void
 BM_SimLoopReplay(benchmark::State &state, const std::string &org)
@@ -515,12 +438,11 @@ runCheck()
             journal.begin("simulate", cell);
             journal.phase("simulate", cell, 0, 42);
             journal.lease("refresh", cell, 3);
-            journal.arena("disk_hit", cell);
             journal.publish(cell);
         }
         const std::size_t hook_allocs =
             g_heap_allocs.load(std::memory_order_relaxed) - start;
-        std::printf("  disabled journal hooks: %zu allocs across 60k "
+        std::printf("  disabled journal hooks: %zu allocs across 50k "
                     "emits (budget 0)\n",
                     hook_allocs);
         if (hook_allocs != 0) {
@@ -531,10 +453,9 @@ runCheck()
         std::printf("  OK\n");
     }
 
-    // Trace-generation share of one live fig10-scale cell: the
-    // fraction of a cell's wall time the arena saves on every
-    // organization column after the first. Informational (timing is
-    // machine-dependent), not gated.
+    // Trace-generation share of one live fig10-scale cell: the most
+    // that replaying pre-generated streams could save a cell.
+    // Informational (timing is machine-dependent), not gated.
     using Clock = std::chrono::steady_clock;
     const SystemConfig cfg = orgConfig("dice", 30'000);
     const auto profiles = workloadProfiles(kWorkload, cfg.num_cores);

@@ -321,16 +321,12 @@ renderSummary(const SummaryRecord &s)
     std::snprintf(
         buf, sizeof buf,
         "batch %lu cells %llu stolen %llu requeued %llu busy_ms %llu "
-        "span_ms %llu jobs %u generations %llu disk_hits %llu "
-        "spills %llu\n",
+        "span_ms %llu jobs %u\n",
         s.batch, static_cast<unsigned long long>(s.cells),
         static_cast<unsigned long long>(s.stolen),
         static_cast<unsigned long long>(s.requeued),
         static_cast<unsigned long long>(s.busy_ms),
-        static_cast<unsigned long long>(s.span_ms), s.jobs,
-        static_cast<unsigned long long>(s.generations),
-        static_cast<unsigned long long>(s.disk_hits),
-        static_cast<unsigned long long>(s.spills));
+        static_cast<unsigned long long>(s.span_ms), s.jobs);
     std::string out = buf;
     for (const auto &[name, h] : s.hists)
         appendHistText(out, name, h);
@@ -351,13 +347,11 @@ parseSummary(const std::string &content, SummaryRecord &out)
         return false;
     unsigned long long cells = 0, stolen = 0, requeued = 0;
     unsigned long long busy = 0, span = 0;
-    unsigned long long gens = 0, disk = 0, spills = 0;
     if (std::sscanf(line.c_str(),
                     "batch %lu cells %llu stolen %llu requeued "
-                    "%llu busy_ms %llu span_ms %llu jobs %u "
-                    "generations %llu disk_hits %llu spills %llu",
+                    "%llu busy_ms %llu span_ms %llu jobs %u",
                     &out.batch, &cells, &stolen, &requeued, &busy,
-                    &span, &out.jobs, &gens, &disk, &spills) != 10 ||
+                    &span, &out.jobs) != 7 ||
         out.jobs == 0)
         return false;
     out.cells = cells;
@@ -365,9 +359,6 @@ parseSummary(const std::string &content, SummaryRecord &out)
     out.requeued = requeued;
     out.busy_ms = busy;
     out.span_ms = span;
-    out.generations = gens;
-    out.disk_hits = disk;
-    out.spills = spills;
     while (std::getline(in, line)) {
         if (line.empty())
             continue;

@@ -12,9 +12,8 @@
  * cell, simulate it, publish its per-cell document, release the
  * lease" until every cell of the batch is published.
  *
- * Coordination is exactly the claim/lease protocol the arena store
- * proved out (src/common/claim_file.hpp), promoted from the trace
- * layer to the cell layer:
+ * Coordination is an O_EXCL claim/lease protocol on files
+ * (src/common/claim_file.hpp):
  *
  *  - A cell is *claimed* by creating `leases/<stem>.lease` with
  *    O_EXCL. A background thread refreshes every held lease's mtime,
@@ -239,9 +238,6 @@ struct SummaryRecord
     std::uint64_t busy_ms = 0;
     std::uint64_t span_ms = 0;
     unsigned jobs = 1;
-    std::uint64_t generations = 0;
-    std::uint64_t disk_hits = 0;
-    std::uint64_t spills = 0;
     /** (phase name, histogram) pairs, e.g. ("cell_us", ...). */
     std::vector<std::pair<std::string, LogHistogram>> hists;
     std::string slowest_cell;

@@ -32,8 +32,7 @@
  *
  * stdout is one "workload org digest" line per cell, in a fixed
  * order independent of execution mode — identical bytes for a serial
- * and a sharded run of the same sweep. The arena accounting line goes
- * to stderr (it legitimately differs between modes).
+ * and a sharded run of the same sweep.
  */
 
 #include <cstdio>
@@ -43,7 +42,6 @@
 #include <vector>
 
 #include "harness.hpp"
-#include "workloads/trace_arena.hpp"
 
 using namespace dice;
 using namespace dice::bench;
@@ -147,12 +145,5 @@ main(int argc, char **argv)
                             detail::resultDigest(r)));
         }
     }
-
-    const TraceArena::Stats a = TraceArena::instance().stats();
-    std::fprintf(stderr,
-                 "arena: generations=%llu disk_hits=%llu spills=%llu\n",
-                 static_cast<unsigned long long>(a.generations),
-                 static_cast<unsigned long long>(a.disk_hits),
-                 static_cast<unsigned long long>(a.spills));
     return 0;
 }

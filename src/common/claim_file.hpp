@@ -2,12 +2,11 @@
  * @file
  * Shared-filesystem claim/lease files.
  *
- * Several subsystems coordinate exactly-once work across processes —
- * possibly on different hosts sharing one filesystem — through small
- * marker files created with O_EXCL: the arena store's per-stream
- * generation claims (`src/workloads/arena_store.cpp`) and the sweep
- * scheduler's per-cell leases (`bench/sweep_queue.cpp`). This module
- * is the one implementation of that protocol.
+ * The sweep scheduler's per-cell leases (`bench/sweep_queue.cpp`)
+ * coordinate exactly-once work across processes — possibly on
+ * different hosts sharing one filesystem — through small marker files
+ * created with O_EXCL. This module is the implementation of that
+ * protocol.
  *
  * A claim file's body is `pid <pid> host <host>\n`. Liveness is
  * decided in two tiers:

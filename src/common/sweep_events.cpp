@@ -38,8 +38,6 @@ sweepPhaseName(SweepPhase p)
     switch (p) {
       case SweepPhase::ClaimWait:
         return "claim_wait_us";
-      case SweepPhase::Generate:
-        return "generate_us";
       case SweepPhase::Simulate:
         return "simulate_us";
       case SweepPhase::Export:
@@ -98,18 +96,6 @@ SweepMetrics::slowestCell() const
 {
     std::lock_guard lock(mu_);
     return {slowest_cell_, slowest_us_};
-}
-
-StatGroup
-SweepMetrics::statGroup() const
-{
-    const std::array<LogHistogram, kSweepPhases> hists = snapshotAll();
-    StatGroup g("sweep");
-    for (unsigned i = 0; i < kSweepPhases; ++i) {
-        g.addLogHistogram(sweepPhaseName(static_cast<SweepPhase>(i)),
-                          hists[i]);
-    }
-    return g;
 }
 
 void
@@ -290,19 +276,6 @@ SweepJournal::lease(const char *op, const std::string &cell,
     writeRecord(buf);
 }
 
-void
-SweepJournal::arena(const char *op, const std::string &key)
-{
-    if (!enabled())
-        return;
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "{\"ev\":\"arena\",\"op\":\"%s\",\"key\":\"%s\","
-                  "\"wall_us\":%" PRIu64 ",\"mono_us\":%" PRIu64 "}\n",
-                  op, key.c_str(), wallMicroseconds(), monoUs());
-    writeRecord(buf);
-}
-
 // ---------------------------------------------------------------------
 // Journal parsing.
 
@@ -428,8 +401,6 @@ parseJournalLine(const std::string &line, JournalEvent &out)
             out.name = value;
         else if (key == "detail")
             out.detail = value;
-        else if (key == "key")
-            out.key = value;
         else if (key == "participant")
             ; // redundant with the file stem
         else if (key == "host")
@@ -756,12 +727,6 @@ mergeSweepTimeline(const std::filesystem::path &events_dir,
                 const std::string name = "lease_" + e.op;
                 appendTraceEvent(out, first, name.c_str(), "lease",
                                  "i", ts, j, cellArg(e.cell));
-            } else if (e.ev == "arena") {
-                std::string args = "{\"key\": \"";
-                appendJsonEscaped(args, e.key);
-                args += "\"}";
-                appendTraceEvent(out, first, e.op.c_str(), "arena",
-                                 "i", ts, j, args);
             } else if (e.ev == "mark") {
                 std::string args = "{\"detail\": \"";
                 appendJsonEscaped(args, e.detail);

@@ -24,7 +24,6 @@
  *   {"ev":"publish","cell":..,...}
  *   {"ev":"lease","op":"refresh"|"break"|"release","cell":..,
  *    "dur_us":..,...}
- *   {"ev":"arena","op":"disk_hit"|"generate"|"spill","key":..,...}
  *
  * Every record carries both clocks: "wall_us" (system clock, for
  * humans and cross-host sanity) and "mono_us" (steady clock relative
@@ -70,15 +69,14 @@ namespace dice
 enum class SweepPhase : unsigned
 {
     ClaimWait,    ///< Claim loop: queue poll until a cell was claimed.
-    Generate,     ///< Trace acquisition (arena hit, disk load, or gen).
     Simulate,     ///< System::run of a fresh cell.
     Export,       ///< Per-cell stats export (zero when disabled).
-    Cell,         ///< Whole fresh cell (generate + simulate + export).
+    Cell,         ///< Whole fresh cell (simulate + export).
     LeaseAcquire, ///< createClaimFile syscall latency.
     LeaseRefresh, ///< refreshClaimFile syscall latency.
 };
 
-constexpr unsigned kSweepPhases = 7;
+constexpr unsigned kSweepPhases = 6;
 
 /** Stable stat/export name of @p p ("claim_wait_us", ...). */
 const char *sweepPhaseName(SweepPhase p);
@@ -109,13 +107,6 @@ class SweepMetrics
 
     /** (cell stem, microseconds) of the slowest cell ("" if none). */
     std::pair<std::string, std::uint64_t> slowestCell() const;
-
-    /**
-     * The "sweep" StatGroup: every phase histogram as a
-     * count/sum/mean/max/p50/p90/p99 + bucket-edge entry family
-     * (StatGroup::addLogHistogram). Values frozen at call time.
-     */
-    StatGroup statGroup() const;
 
     void resetForTest();
 
@@ -180,7 +171,6 @@ class SweepJournal
     void publish(const std::string &cell);
     void lease(const char *op, const std::string &cell,
                std::uint64_t dur_us);
-    void arena(const char *op, const std::string &key);
 
   private:
     SweepJournal() = default;
@@ -206,7 +196,6 @@ struct JournalEvent
     std::string op;
     std::string name;    ///< mark name.
     std::string detail;  ///< mark detail.
-    std::string key;     ///< arena key.
     std::uint64_t wall_us = 0;
     std::uint64_t mono_us = 0;
     std::uint64_t start_us = 0;
@@ -268,7 +257,7 @@ struct TimelineStats
  * after their spawn marks; requeued claims after the cell's first
  * claim), one lane (pid) per participant, "X" events for phases and
  * instant events for claims/steals/requeues/publishes/lease
- * ops/arena traffic. Deterministic for a given set of journals.
+ * ops. Deterministic for a given set of journals.
  * False (with @p error) when the directory has no readable journals
  * or the output cannot be written.
  */

@@ -8,7 +8,7 @@
  * provider materializes a StatGroup on demand. Because StatGroup
  * entries read live counters through lambdas, a registry snapshot
  * always reflects the owning component's *current* state: the System
- * registers its L3/L4/CIP/DRAM/arena groups once at construction, and
+ * registers its L3/L4/CIP/DRAM groups once at construction, and
  * the same registry serves both the end-of-run export and the interval
  * snapshots taken mid-run (warmup vs steady state).
  *

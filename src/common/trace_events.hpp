@@ -9,9 +9,9 @@
  * re-writes the closing "]}"'s position, so the output file is a
  * complete, valid document after every flush while total flush cost
  * stays O(events), not O(events²). The bench harness wraps each sweep
- * cell's generate/replay/simulate phases in TraceSpans, so a
- * fig10-style run produces a per-worker timeline where load imbalance
- * and arena contention are directly visible.
+ * cell and its simulate phase in TraceSpans, so a fig10-style run
+ * produces a per-worker timeline where load imbalance is directly
+ * visible.
  *
  * Cost model: when DICE_TRACE_OUT is unset the log is disabled and a
  * TraceSpan is two branch tests; when enabled, recording takes a

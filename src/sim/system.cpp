@@ -4,7 +4,6 @@
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
-#include "common/sweep_events.hpp"
 #include "common/trace_events.hpp"
 #include "workloads/region_plan.hpp"
 
@@ -40,7 +39,7 @@ System::System(const SystemConfig &config,
 
     // Per-core regions scaled so footprint/capacity pressure matches
     // the paper's Table 3 against a 1-GiB cache. planCoreRegions is
-    // shared with the TraceArena so replayed streams see the same
+    // shared with generateTraceSet so replayed streams see the same
     // layout the live generator would.
     const std::vector<CoreRegion> regions = planCoreRegions(
         cfg_.num_cores, cfg_.reference_capacity, profiles_);
@@ -115,16 +114,6 @@ System::registerStats()
     }
     registry_.add("mapi", [this] { return mapi_.stats(); });
     registry_.add("mem.dram", [this] { return mem_.device().stats(); });
-    // The arena is process-wide, but including its counters in every
-    // cell's export shows each cell the hit/eviction state it ran
-    // under (a stalling sweep is usually an arena thrashing story).
-    registry_.add("trace_arena",
-                  [] { return TraceArena::instance().statGroup(); });
-    // Likewise process-wide: the sweep phase-latency histograms
-    // (claim-wait, generate, simulate, export, whole-cell, lease ops)
-    // this cell's run contributed to.
-    registry_.add("sweep",
-                  [] { return SweepMetrics::instance().statGroup(); });
 }
 
 std::uint64_t

@@ -129,13 +129,13 @@ class System
      * @param core_profiles One workload profile per core (rate mode
      *        replicates a single profile).
      * @param replay Pre-generated per-core streams to replay (e.g.
-     *        from the TraceArena); null generates live. A replayed
-     *        run is bit-identical to a live one — the arena records
-     *        exactly what the same (profile, region, seed) generator
-     *        would emit — but a sweep pays generation only once per
-     *        stream instead of once per organization column. Each
-     *        stream must hold at least warmup + measured + 1
-     *        references (the simulator primes one ahead).
+     *        from generateTraceSet or the TraceArena); null generates
+     *        live, which is what every bench sweep cell does. A
+     *        replayed run is bit-identical to a live one: the set
+     *        records exactly what the same (profile, region, seed)
+     *        generator would emit. Each stream must hold at least
+     *        warmup + measured + 1 references (the simulator primes
+     *        one ahead).
      */
     System(const SystemConfig &config,
            std::vector<WorkloadProfile> core_profiles,
@@ -151,9 +151,11 @@ class System
 
     /**
      * Telemetry registry over every component of this system (L3, L4
-     * and its DRAM device, CIP, MAP-I, main memory, the trace arena).
-     * Values are live; run() additionally appends interval snapshots
-     * every DICE_STATS_INTERVAL references when that knob is set.
+     * and its DRAM device, CIP, MAP-I, main memory). Every group
+     * describes this system alone, so a cell's export depends only on
+     * that cell. Values are live; run() additionally appends interval
+     * snapshots every DICE_STATS_INTERVAL references when that knob
+     * is set.
      */
     StatRegistry &statRegistry() { return registry_; }
     const StatRegistry &statRegistry() const { return registry_; }

@@ -1,18 +1,13 @@
 #include "trace_arena.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <thread>
 
 #include "common/log.hpp"
 #include "common/parallel.hpp"
-#include "common/sweep_events.hpp"
 #include "common/telemetry.hpp"
-#include "common/trace_events.hpp"
 #include "common/rng.hpp"
-#include "workloads/arena_store.hpp"
+#include "common/trace_events.hpp"
 #include "workloads/region_plan.hpp"
 
 namespace dice
@@ -23,78 +18,6 @@ namespace
 
 /** Default resident budget when DICE_TRACE_ARENA_BYTES is unset. */
 constexpr std::uint64_t kDefaultBudgetBytes = 512_MiB;
-
-/** How long a miss waits on another process's generation claim before
- *  giving up and generating its own copy (DICE_ARENA_WAIT_MS). */
-std::uint64_t
-claimWaitMs()
-{
-    if (const char *env = std::getenv("DICE_ARENA_WAIT_MS"))
-        return std::strtoull(env, nullptr, 10);
-    return 120'000;
-}
-
-/** Environment-derived spill directory ("" = store disabled). */
-std::string
-storeDirFromEnv()
-{
-    if (std::getenv("DICE_BENCH_NO_CACHE") != nullptr)
-        return "";
-    if (const char *env = std::getenv("DICE_ARENA_SPILL")) {
-        if (std::strcmp(env, "0") == 0)
-            return "";
-    }
-    if (const char *env = std::getenv("DICE_ARENA_DIR"))
-        return env;
-    std::string base = "bench_cache";
-    if (const char *env = std::getenv("DICE_BENCH_CACHE_DIR"))
-        base = env;
-    return base + "/arena";
-}
-
-/**
- * The cross-process protocol of a store-backed miss. Returns true with
- * @p out filled when the stream came off disk (possibly after waiting
- * out another process's generation); returns false with @p claim held
- * (when claimable) when the caller must generate — and, via the claim,
- * has the exclusive right to. A waiter whose claim holder dies
- * recovers by breaking the stale claim and taking over; one whose wait
- * times out generates a duplicate rather than stalling forever.
- */
-bool
-loadOrAwait(const ArenaStore &store, const ArenaStoreKey &key,
-            ArenaStore::Claim &claim,
-            std::shared_ptr<const TraceSet> &out)
-{
-    if (store.load(key, out))
-        return true;
-
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(claimWaitMs());
-    for (;;) {
-        if (store.tryClaim(key, claim)) {
-            // Double-check under the claim: the previous holder may
-            // have published between our load miss and its release.
-            if (store.load(key, out)) {
-                claim.release();
-                return true;
-            }
-            return false;
-        }
-        // Another live process is generating this key: poll for its
-        // result instead of burning CPU on a duplicate.
-        std::this_thread::sleep_for(std::chrono::milliseconds(25));
-        if (store.load(key, out))
-            return true;
-        if (std::chrono::steady_clock::now() >= deadline) {
-            dice_warn("arena: waited %llu ms on claim for %s; "
-                      "generating a duplicate",
-                      static_cast<unsigned long long>(claimWaitMs()),
-                      key.workload.c_str());
-            return false;
-        }
-    }
-}
 
 } // namespace
 
@@ -138,22 +61,6 @@ TraceArena::TraceArena() : budget_bytes_(kDefaultBudgetBytes)
         budget_bytes_ = std::strtoull(env, nullptr, 10);
 }
 
-TraceArena::~TraceArena() = default;
-
-std::unique_ptr<ArenaStore>
-TraceArena::storeForUse() const
-{
-    std::string dir;
-    {
-        std::unique_lock lock(mu_);
-        dir = store_dir_override_.has_value() ? *store_dir_override_
-                                              : storeDirFromEnv();
-    }
-    if (dir.empty())
-        return nullptr;
-    return std::make_unique<ArenaStore>(dir);
-}
-
 std::shared_ptr<const TraceSet>
 TraceArena::acquire(const std::string &workload, std::uint64_t seed,
                     std::uint32_t num_cores,
@@ -184,54 +91,15 @@ TraceArena::acquire(const std::string &workload, std::uint64_t seed,
         entries_.emplace(key, std::move(entry));
     }
 
-    // Fill the entry outside the lock; waiters block on the shared
-    // future. Disk before generate: any stream some process already
-    // paid for is loaded back from the persistent store, and a
-    // generation claim keeps concurrent worker processes from
-    // duplicating the work we are about to do.
-    const std::unique_ptr<ArenaStore> store = storeForUse();
-    const ArenaStoreKey skey{workload, seed, num_cores,
-                             reference_capacity, refs_per_core};
-    std::shared_ptr<const TraceSet> set;
-    bool from_disk = false;
-    bool spilled = false;
-    ArenaStore::Claim claim;
-
-    if (store != nullptr) {
-        TraceSpan load_span("arena_load", workload);
-        from_disk = loadOrAwait(*store, skey, claim, set);
-    }
-    if (set == nullptr) {
-        set = generateTraceSet(profiles, num_cores, reference_capacity,
-                               seed, refs_per_core, jobs);
-        if (store != nullptr) {
-            TraceSpan spill_span("arena_spill", workload);
-            spilled = store->save(skey, *set);
-        }
-    }
-    claim.release();
+    // Generate outside the lock; waiters block on the shared future.
+    const std::shared_ptr<const TraceSet> set = generateTraceSet(
+        profiles, num_cores, reference_capacity, seed, refs_per_core,
+        jobs);
     promise.set_value(set);
-
-    // Journal the arena outcome: a sweep timeline showing which cells
-    // hit disk vs paid a full generation (or re-spilled) is usually
-    // the answer to "why is worker 2 slower".
-    SweepJournal &journal = SweepJournal::instance();
-    if (journal.enabled()) {
-        const std::string jkey =
-            workload + ".s" + std::to_string(seed);
-        journal.arena(from_disk ? "disk_hit" : "generate", jkey);
-        if (spilled)
-            journal.arena("spill", jkey);
-    }
 
     {
         std::unique_lock lock(mu_);
-        if (from_disk)
-            ++disk_hits_;
-        else
-            ++generations_;
-        if (spilled)
-            ++spills_;
+        ++generations_;
         // clear() may have raced the generation; the set is still
         // handed to every waiter through the future either way.
         const auto it = entries_.find(key);
@@ -288,29 +156,9 @@ TraceArena::stats() const
     s.generations = generations_;
     s.hits = hits_;
     s.evictions = evictions_;
-    s.disk_hits = disk_hits_;
-    s.spills = spills_;
     s.resident_bytes = resident_bytes_;
     s.entries = entries_.size();
     return s;
-}
-
-StatGroup
-TraceArena::statGroup() const
-{
-    StatGroup g("trace_arena");
-    g.addFormula("hits", [this]() { return double(stats().hits); });
-    g.addFormula("misses",
-                 [this]() { return double(stats().generations); });
-    g.addFormula("evictions",
-                 [this]() { return double(stats().evictions); });
-    g.addFormula("disk_hits",
-                 [this]() { return double(stats().disk_hits); });
-    g.addFormula("spills", [this]() { return double(stats().spills); });
-    g.addFormula("resident_bytes",
-                 [this]() { return double(stats().resident_bytes); });
-    g.addFormula("entries", [this]() { return double(stats().entries); });
-    return g;
 }
 
 void
@@ -330,16 +178,7 @@ TraceArena::clear()
     generations_ = 0;
     hits_ = 0;
     evictions_ = 0;
-    disk_hits_ = 0;
-    spills_ = 0;
     lru_clock_ = 0;
-}
-
-void
-TraceArena::setStoreDirForTest(std::optional<std::string> dir)
-{
-    std::unique_lock lock(mu_);
-    store_dir_override_ = std::move(dir);
 }
 
 } // namespace dice

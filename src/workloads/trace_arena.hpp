@@ -2,29 +2,20 @@
  * @file
  * Process-wide store of pre-generated reference streams.
  *
- * Every cell of a bench sweep simulates some (workload, organization)
- * pair, but the reference stream a cell consumes depends only on
- * (workload, seed, num_cores, reference_capacity, stream length) —
- * not on the L4 organization under test. Re-deriving it per cell made
- * trace generation a per-column cost; the arena makes it a per-stream
- * cost: the first request for a key generates all per-core streams in
- * parallel into packed SoA buffers (PackedTrace, ~12 B/reference) and
- * every later request replays the same immutable set.
+ * The reference stream a simulation consumes depends only on
+ * (workload, seed, num_cores, reference_capacity, stream length), so
+ * it can be generated once into packed SoA buffers (PackedTrace,
+ * ~12 B/reference) and replayed by any number of Systems through
+ * ReplayTraceSource, bit-identically to live generation. Bench sweep
+ * cells do not use the arena: they generate live, which keeps a
+ * sweep's memory flat (DESIGN §5d). What remains of it serves the
+ * benchmark's fig10 set-up probe and the replay-equals-live tests.
  *
  * Concurrency: requests are deduplicated with per-key futures, so
- * racing sweep workers never generate a stream twice. Memory: resident
- * sets are LRU-evicted past a byte budget (DICE_TRACE_ARENA_BYTES;
- * callers keep shared_ptr ownership, so eviction only drops the cache
- * entry, never a stream in use).
- *
- * Persistence: misses fall back disk-before-generate through an
- * ArenaStore under `bench_cache/arena/` — a stream any process on
- * this machine (or this shared filesystem) ever generated is loaded
- * back instead of regenerated, and freshly generated streams are
- * spilled for everyone else. O_EXCL claim files make generation
- * exactly-once across concurrent worker processes. Disabled together
- * with the result cache (DICE_BENCH_NO_CACHE=1) or alone with
- * DICE_ARENA_SPILL=0; DICE_ARENA_DIR overrides the directory.
+ * racing callers never generate a stream twice. Memory: resident sets
+ * are LRU-evicted past a byte budget (DICE_TRACE_ARENA_BYTES; callers
+ * keep shared_ptr ownership, so eviction only drops the cache entry,
+ * never a stream in use).
  */
 
 #ifndef DICE_WORKLOADS_TRACE_ARENA_HPP
@@ -34,19 +25,15 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "workloads/packed_trace.hpp"
 #include "workloads/profile.hpp"
 
 namespace dice
 {
-
-class ArenaStore;
 
 /** All per-core streams of one (workload, seed, ...) key. */
 struct TraceSet
@@ -88,13 +75,11 @@ generateTraceSet(const std::vector<WorkloadProfile> &profiles,
 class TraceArena
 {
   public:
-    /** The process-wide instance the bench harness shares. */
+    /** The process-wide instance. */
     static TraceArena &instance();
 
     /** Byte budget from DICE_TRACE_ARENA_BYTES (default 512 MiB). */
     TraceArena();
-
-    ~TraceArena();
 
     /**
      * Return the streams for the key, generating them (once, even
@@ -113,36 +98,17 @@ class TraceArena
         std::uint64_t generations = 0; ///< Streams built from scratch.
         std::uint64_t hits = 0;        ///< Served resident or in-flight.
         std::uint64_t evictions = 0;   ///< Entries dropped by the LRU.
-        std::uint64_t disk_hits = 0;   ///< Loaded from the ArenaStore.
-        std::uint64_t spills = 0;      ///< Generated sets spilled to disk.
         std::uint64_t resident_bytes = 0;
         std::uint64_t entries = 0;
     };
 
     Stats stats() const;
 
-    /**
-     * The same counters as a telemetry group ("trace_arena"), for
-     * registration in a StatRegistry. Values are read live (each
-     * formula snapshots the counters under the arena lock), so a
-     * per-cell stats export shows arena behavior as of that cell.
-     */
-    StatGroup statGroup() const;
-
     /** Override the byte budget (tests); evicts down immediately. */
     void setByteBudget(std::uint64_t bytes);
 
-    /** Drop every resident entry and zero the counters (tests). */
+    /** Drop every resident entry and zero the counters. */
     void clear();
-
-    /**
-     * Override the persistent store location (tests): a path pins the
-     * spill directory, an empty string disables the store, and
-     * std::nullopt restores the environment-derived default
-     * (DICE_ARENA_DIR / bench_cache/arena, gated by
-     * DICE_BENCH_NO_CACHE and DICE_ARENA_SPILL).
-     */
-    void setStoreDirForTest(std::optional<std::string> dir);
 
   private:
     using Key = std::tuple<std::string, std::uint64_t, std::uint32_t,
@@ -158,9 +124,6 @@ class TraceArena
     /** Evict LRU-complete entries until the budget holds. Locked. */
     void evictOverBudgetLocked();
 
-    /** The persistent store to use right now (null = disabled). */
-    std::unique_ptr<ArenaStore> storeForUse() const;
-
     mutable std::mutex mu_;
     std::map<Key, Entry> entries_;
     std::uint64_t budget_bytes_;
@@ -169,10 +132,6 @@ class TraceArena
     std::uint64_t generations_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t evictions_ = 0;
-    std::uint64_t disk_hits_ = 0;
-    std::uint64_t spills_ = 0;
-    /** Test override: nullopt = env default, "" = store disabled. */
-    std::optional<std::string> store_dir_override_;
 };
 
 } // namespace dice

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests of the parallel bench engine: a parallel sweep must produce
- * bit-identical results to a serial one, and the persistent result
- * cache must survive concurrent writers and reject corrupt files.
+ * bit-identical results to a serial one, its cells must generate
+ * their reference streams live, and the persistent result cache must
+ * survive concurrent writers and reject corrupt files.
  */
 
 #include <gtest/gtest.h>
@@ -110,6 +111,39 @@ TEST(BenchParallel, ParallelSweepMatchesSerial)
                         runWorkload(w, base, "par:base"));
         expectIdentical(runWorkload(w, dice_cfg, "ser:dice"),
                         runWorkload(w, dice_cfg, "par:dice"));
+    }
+}
+
+TEST(BenchParallel, SweepCellsGenerateLiveAndMatchDirectRuns)
+{
+    // Sweep cells build their System with live trace generation: the
+    // process-wide arena stays empty, and each cell's result is what a
+    // direct live System run of the same configuration produces.
+    setenv("DICE_BENCH_REFS", "1500", 1);
+    setenv("DICE_BENCH_NO_CACHE", "1", 1);
+    setenv("DICE_BENCH_JOBS", "4", 1);
+    TraceArena::instance().clear();
+
+    const std::vector<std::string> workloads = {rateNames()[0],
+                                                mixNames()[0]};
+    const std::vector<OrgCell> orgs = {
+        {configureBaseline(defaultBase()), "live:base"},
+        {configureDice(defaultBase()), "live:dice"},
+    };
+    runSweep(workloads, orgs);
+
+    const TraceArena::Stats s = TraceArena::instance().stats();
+    EXPECT_EQ(s.generations, 0u);
+    EXPECT_EQ(s.entries, 0u);
+    for (const std::string &w : workloads) {
+        for (const OrgCell &org : orgs) {
+            System sys(org.config,
+                       workloadProfiles(w, org.config.num_cores));
+            EXPECT_EQ(detail::resultDigest(
+                          runWorkload(w, org.config, org.cache_key)),
+                      detail::resultDigest(sys.run()))
+                << w << " / " << org.cache_key;
+        }
     }
 }
 

@@ -2,9 +2,9 @@
  * @file
  * End-to-end observability tests through the bench harness: a sweep
  * run with DICE_STATS_JSON / DICE_STATS_CSV must leave one valid,
- * complete stats document per fresh cell, DICE_TRACE_OUT must yield a
- * Perfetto-loadable trace with per-cell spans, and DICE_PROGRESS must
- * produce the heartbeat line.
+ * complete stats document per fresh cell that depends on that cell
+ * alone, DICE_TRACE_OUT must yield a Perfetto-loadable trace with
+ * per-cell spans, and DICE_PROGRESS must produce the heartbeat line.
  */
 
 #include <gtest/gtest.h>
@@ -83,6 +83,8 @@ TEST_F(StatsExportTest, SweepWritesOneValidJsonPerCell)
     // Half-run snapshots: every cell gets at least one warmup and one
     // measurement interval at this refs budget.
     setenv("DICE_STATS_INTERVAL", "600", 1);
+    // Four cells on four workers: they run concurrently.
+    setenv("DICE_BENCH_JOBS", "4", 1);
 
     const std::vector<std::string> workloads = {rateNames()[0],
                                                 mixNames()[0]};
@@ -105,17 +107,15 @@ TEST_F(StatsExportTest, SweepWritesOneValidJsonPerCell)
 
             // Core groups every organization must export.
             for (const char *g :
-                 {"system", "l3", "l4", "l4.dram", "mapi", "mem.dram",
-                  "trace_arena"})
+                 {"system", "l3", "l4", "l4.dram", "mapi", "mem.dram"})
                 EXPECT_TRUE(groups.has(g)) << stem << " missing " << g;
 
             EXPECT_GT(groups.at("system").at("refs").number, 0.0);
 
-            // Arena counters: these cells replayed arena streams.
-            const auto &arena = groups.at("trace_arena");
-            EXPECT_TRUE(arena.has("hits"));
-            EXPECT_TRUE(arena.has("evictions"));
-            EXPECT_GT(arena.at("resident_bytes").number, 0.0);
+            // No process-wide group: their values would depend on
+            // which other cells ran in this process, and when.
+            EXPECT_FALSE(groups.has("trace_arena")) << stem;
+            EXPECT_FALSE(groups.has("sweep")) << stem;
 
             // The DICE organization additionally exports CIP accuracy
             // and the BAI/TSI install mix; the baseline must not.
@@ -158,7 +158,32 @@ TEST_F(StatsExportTest, SweepWritesOneValidJsonPerCell)
         }
     }
 
+    // The same cells again, each alone in its own one-job sweep (new
+    // cache keys, so they simulate afresh): every document must match
+    // its in-sweep twin byte for byte.
+    const fs::path alone = scratchDir("dice_stats_json_alone");
+    setenv("DICE_STATS_JSON", alone.c_str(), 1);
+    setenv("DICE_STATS_CSV", alone.c_str(), 1);
+    setenv("DICE_BENCH_JOBS", "1", 1);
+    for (const std::string &workload : workloads) {
+        for (const OrgCell &org : orgs) {
+            const std::string key = org.cache_key + "_alone";
+            runSweep({workload}, {{org.config, key}});
+            const std::string stem =
+                sanitizeFileStem(workload + "_" + org.cache_key);
+            const std::string alone_stem =
+                sanitizeFileStem(workload + "_" + key);
+            for (const char *ext : {".json", ".csv"}) {
+                const std::string in_sweep = slurp(dir / (stem + ext));
+                ASSERT_FALSE(in_sweep.empty()) << stem << ext;
+                EXPECT_EQ(in_sweep, slurp(alone / (alone_stem + ext)))
+                    << stem << ext;
+            }
+        }
+    }
+
     fs::remove_all(dir);
+    fs::remove_all(alone);
 }
 
 TEST_F(StatsExportTest, SweepEmitsAPerfettoLoadableTrace)
@@ -179,7 +204,7 @@ TEST_F(StatsExportTest, SweepEmitsAPerfettoLoadableTrace)
 
     bool saw_cell = false, saw_sim = false, saw_measure = false;
     for (const auto &ev : events.array) {
-        // Spans are "X"; point markers (e.g. arena evictions) are "i".
+        // Spans are "X"; point markers are "i".
         const std::string &ph = ev->at("ph").string;
         EXPECT_TRUE(ph == "X" || ph == "i") << ph;
         const std::string &cat = ev->at("cat").string;
@@ -212,7 +237,7 @@ TEST_F(StatsExportTest, ProgressHeartbeatReportsEveryCell)
     // announcement yields to the heartbeat.
     EXPECT_NE(err.find("[progress] 1/2 cells"), std::string::npos) << err;
     EXPECT_NE(err.find("[progress] 2/2 cells"), std::string::npos) << err;
-    EXPECT_NE(err.find("arena"), std::string::npos);
+    EXPECT_NE(err.find("Mref/s"), std::string::npos) << err;
     EXPECT_EQ(err.find("[sim]"), std::string::npos);
 }
 

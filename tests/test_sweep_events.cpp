@@ -206,7 +206,7 @@ TEST(SweepMetrics, SlowestCellAndSnapshots)
 {
     SweepMetrics &m = SweepMetrics::instance();
     m.resetForTest();
-    m.sample(SweepPhase::Generate, 100);
+    m.sample(SweepPhase::Simulate, 100);
     m.noteCell("mcf_dice", 5000);
     m.noteCell("lbm_alloy", 9000);
     m.noteCell("gcc_tsi", 1000);
@@ -215,8 +215,8 @@ TEST(SweepMetrics, SlowestCellAndSnapshots)
     EXPECT_EQ(cell, "lbm_alloy");
     EXPECT_EQ(us, 9000u);
     EXPECT_EQ(m.snapshot(SweepPhase::Cell).count(), 3u);
-    EXPECT_EQ(m.snapshot(SweepPhase::Generate).count(), 1u);
-    EXPECT_EQ(m.snapshot(SweepPhase::Simulate).count(), 0u);
+    EXPECT_EQ(m.snapshot(SweepPhase::Simulate).count(), 1u);
+    EXPECT_EQ(m.snapshot(SweepPhase::Export).count(), 0u);
     m.resetForTest();
 }
 
@@ -528,16 +528,13 @@ TEST(ParticipantFiles, SummaryRoundTripWithHistograms)
     s.busy_ms = 800;
     s.span_ms = 950;
     s.jobs = 3;
-    s.generations = 6;
-    s.disk_hits = 5;
-    s.spills = 6;
     LogHistogram cell;
     cell.sample(1000);
     cell.sample(64000);
     s.hists.emplace_back("cell_us", cell);
-    LogHistogram gen;
-    gen.sample(300);
-    s.hists.emplace_back("generate_us", gen);
+    LogHistogram sim;
+    sim.sample(300);
+    s.hists.emplace_back("simulate_us", sim);
     s.slowest_cell = "mcf_dice";
     s.slowest_us = 64000;
 
@@ -549,14 +546,11 @@ TEST(ParticipantFiles, SummaryRoundTripWithHistograms)
     EXPECT_EQ(back.stolen, s.stolen);
     EXPECT_EQ(back.requeued, s.requeued);
     EXPECT_EQ(back.jobs, s.jobs);
-    EXPECT_EQ(back.generations, s.generations);
-    EXPECT_EQ(back.disk_hits, s.disk_hits);
-    EXPECT_EQ(back.spills, s.spills);
     ASSERT_EQ(back.hists.size(), 2u);
     EXPECT_EQ(back.hists[0].first, "cell_us");
     EXPECT_EQ(back.hists[0].second.count(), 2u);
     EXPECT_EQ(back.hists[0].second.sum(), 65000u);
-    EXPECT_EQ(back.hists[1].first, "generate_us");
+    EXPECT_EQ(back.hists[1].first, "simulate_us");
     EXPECT_EQ(back.slowest_cell, "mcf_dice");
     EXPECT_EQ(back.slowest_us, 64000u);
 

@@ -1,22 +1,21 @@
 /**
  * @file
- * Tests of the shared trace arena: packed-stream round-tripping,
- * replay/live equivalence, keying, LRU byte-budget eviction, and the
- * sweep-level guarantee that a cold-cache multi-organization sweep
- * generates each (workload, seed) stream exactly once.
+ * Tests of the in-memory trace arena: packed-stream round-tripping,
+ * replay/live equivalence, keying, and LRU byte-budget eviction.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/trace_events.hpp"
-#include "harness.hpp"
 #include "mini_json.hpp"
 #include "workloads/packed_trace.hpp"
 #include "workloads/region_plan.hpp"
@@ -124,9 +123,6 @@ TEST(TraceArena, KeyedAcquireGeneratesOncePerKey)
     TraceArena &arena = TraceArena::instance();
     arena.clear();
     arena.setByteBudget(512_MiB);
-    // Counter assertions below need real generations: a warm spill
-    // directory would turn them into disk hits.
-    arena.setStoreDirForTest("");
     const auto profiles = rateProfiles("mcf", 2);
 
     const auto a = arena.acquire("mcf", 7, 2, 8_MiB, 1'000, profiles, 2);
@@ -151,7 +147,6 @@ TEST(TraceArena, LruEvictionUnderByteBudget)
     TraceArena &arena = TraceArena::instance();
     arena.clear();
     arena.setByteBudget(512_MiB);
-    arena.setStoreDirForTest(""); // assertions count real generations
     const auto profiles = rateProfiles("milc", 2);
     const auto get = [&](std::uint64_t seed) {
         return arena.acquire("milc", seed, 2, 8_MiB, 2'000, profiles, 2);
@@ -195,7 +190,6 @@ TEST(TraceArena, EvictionEmitsInstantTraceEvent)
     TraceArena &arena = TraceArena::instance();
     arena.clear();
     arena.setByteBudget(512_MiB);
-    arena.setStoreDirForTest(""); // keep spills out of the test cwd
     const auto profiles = rateProfiles("milc", 2);
     const auto get = [&](std::uint64_t seed) {
         return arena.acquire("milc", seed, 2, 8_MiB, 2'000, profiles, 2);
@@ -228,44 +222,6 @@ TEST(TraceArena, EvictionEmitsInstantTraceEvent)
         EXPECT_FALSE(ev->has("dur"));
     }
     EXPECT_TRUE(saw_evict);
-}
-
-/**
- * The sweep-level contract (and the CI hook for it): with the
- * persistent result cache disabled, a two-organization sweep still
- * generates each (workload, seed) reference stream exactly once — the
- * second organization column replays the arena's copy.
- */
-TEST(TraceArena, ColdSweepGeneratesEachStreamOnce)
-{
-    setenv("DICE_BENCH_NO_CACHE", "1", 1);
-    setenv("DICE_BENCH_REFS", "1200", 1);
-    setenv("DICE_BENCH_JOBS", "4", 1);
-
-    TraceArena &arena = TraceArena::instance();
-    arena.clear();
-    arena.setByteBudget(512_MiB);
-    // Exercise the env gating: DICE_BENCH_NO_CACHE must disable the
-    // persistent spill store too, or the counters below would see
-    // disk hits on a warm machine.
-    arena.setStoreDirForTest(std::nullopt);
-
-    const std::vector<std::string> workloads = {bench::rateNames()[0],
-                                                bench::rateNames()[1]};
-    const SystemConfig base =
-        bench::configureBaseline(bench::defaultBase());
-    const SystemConfig dice_cfg = bench::configureDice(bench::defaultBase());
-    bench::runSweep(workloads,
-                    {{base, "arena:base"}, {dice_cfg, "arena:dice"}});
-
-    const TraceArena::Stats s = arena.stats();
-    // 4 cells asked for 2 distinct streams: one generation per stream,
-    // every other request served from the arena.
-    EXPECT_EQ(s.generations, workloads.size());
-    EXPECT_EQ(s.hits, workloads.size());
-    unsetenv("DICE_BENCH_NO_CACHE");
-    unsetenv("DICE_BENCH_REFS");
-    unsetenv("DICE_BENCH_JOBS");
 }
 
 } // namespace
