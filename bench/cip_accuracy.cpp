@@ -16,9 +16,8 @@ using namespace dice;
 using namespace dice::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    initSweepMode(argc, argv);
     printHeader("CIP accuracy vs Last-Time-Table size",
                 "DICE (ISCA'17) Section 5.3");
 

@@ -17,9 +17,8 @@ using namespace dice;
 using namespace dice::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    initSweepMode(argc, argv);
     printHeader("Limit study: doubling DRAM cache capacity / bandwidth",
                 "DICE (ISCA'17) Figure 1(f)");
 

@@ -58,9 +58,8 @@ measure(const WorkloadProfile &profile)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    initSweepMode(argc, argv);
     printHeader("Compressibility of lines installed in the DRAM cache",
                 "DICE (ISCA'17) Figure 4");
     printColumns({"Single<=32", "Single<=36", "Double<=68"});

@@ -18,9 +18,8 @@ using namespace dice;
 using namespace dice::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    initSweepMode(argc, argv);
     printHeader("Static indexing: TSI vs BAI vs ideal 2x caches",
                 "DICE (ISCA'17) Figure 7");
 

@@ -19,9 +19,8 @@ using namespace dice;
 using namespace dice::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    initSweepMode(argc, argv);
     printHeader("Compressed DRAM cache speedup: TSI vs BAI vs DICE",
                 "DICE (ISCA'17) Figure 10");
 

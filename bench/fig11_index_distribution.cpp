@@ -18,9 +18,8 @@ using namespace dice;
 using namespace dice::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    initSweepMode(argc, argv);
     printHeader("DICE install-index distribution",
                 "DICE (ISCA'17) Figure 11");
 

@@ -17,9 +17,8 @@ using namespace dice;
 using namespace dice::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    initSweepMode(argc, argv);
     printHeader("DICE on the KNL tags-in-ECC organization",
                 "DICE (ISCA'17) Figure 12");
 

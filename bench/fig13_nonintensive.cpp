@@ -19,9 +19,8 @@ using namespace dice;
 using namespace dice::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    initSweepMode(argc, argv);
     printHeader("DICE on non-memory-intensive workloads",
                 "DICE (ISCA'17) Figure 13");
 

@@ -25,9 +25,8 @@ struct Agg
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    initSweepMode(argc, argv);
     printHeader("Off-chip power / performance / energy / EDP",
                 "DICE (ISCA'17) Figure 14");
 

@@ -17,9 +17,8 @@ using namespace dice;
 using namespace dice::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    initSweepMode(argc, argv);
     printHeader("SCC on a DRAM cache vs DICE",
                 "DICE (ISCA'17) Figure 15");
 

@@ -6,19 +6,20 @@
  * every workload of the evaluation suite under each of them, and
  * prints rows in the shape of the paper's figure/table.
  *
- * Every (workload, organization) simulation is independent and
- * deterministic, so the harness exposes a batch API: a binary
- * enumerates all the cells it will need up front (runSweep/runCells)
- * and the harness dispatches them across a DICE_BENCH_JOBS-sized
- * thread pool. Results are memoized twice — in a concurrency-safe
- * in-process map, and persistently in bench_cache/ (written via
- * temp-file + atomic rename, validated by checksum on load) so that
- * concurrently running bench binaries share work and never read torn
- * files. After the batch run, the per-cell accessors (runWorkload,
- * speedupOver) are cheap cache hits.
+ * The sweep engine is one in-process thread pool. A binary enumerates
+ * all the cells it will need up front (runSweep/runCells) and the
+ * harness simulates them across DICE_BENCH_JOBS worker threads. Every
+ * (workload, organization) cell is independent and deterministic, and
+ * generates its reference streams live, so a sweep holds only the
+ * streams of the cells in flight and its results do not depend on
+ * the job count.
  *
- * Freshly-simulated cells generate their reference streams live, so a
- * sweep holds only the streams of the cells in flight.
+ * Results are memoized twice, both keyed by cellKey(): in a
+ * concurrency-safe in-process map, and persistently in bench_cache/
+ * (written via temp-file + atomic rename, validated by checksum on
+ * load) so that concurrently running bench binaries share work and
+ * never read torn files. After the batch run, the per-cell accessors
+ * (runWorkload, speedupOver) are cheap cache hits.
  *
  * Observability (all off by default; see README "Telemetry"):
  *  - DICE_STATS_JSON / DICE_STATS_CSV: per-cell stat-registry export
@@ -82,15 +83,16 @@ std::vector<std::string> extraOrgNames();
 std::vector<WorkloadProfile> workloadProfiles(const std::string &name,
                                               std::uint32_t cores);
 
-/** One simulation cell: a workload replayed under one organization. */
+/** One simulation cell: a workload run under one organization. */
 struct SimCell
 {
     std::string workload;
     SystemConfig config;
+    /** Column label; part of cellKey() together with the config. */
     std::string cache_key;
 };
 
-/** An organization paired with its result-cache key. */
+/** An organization paired with its column label. */
 struct OrgCell
 {
     SystemConfig config;
@@ -101,49 +103,7 @@ struct OrgCell
 unsigned benchJobs();
 
 /**
- * Enable the distributed sweep engine from the command line. Every
- * bench main calls this first; with no recognized flags it is a no-op
- * and the binary runs serially (in-process thread pool only).
- *
- *  --serve M     Coordinator: each runCells batch is executed by M
- *                re-spawned copies of this binary (posix_spawn), which
- *                pull cells from a shared work-stealing claim queue
- *                (bench/sweep_queue.hpp: O_EXCL lease files, cost-
- *                ordered longest-first, requeue-on-crash) and stream
- *                per-cell results into <cache>/results/ and the shared
- *                persistent caches. The coordinator merges in
- *                canonical cell order, so its stdout and merged
- *                documents are byte-identical to a serial run even
- *                when workers crash or extra workers join.
- *  --worker i/M  Worker i of M (spawned by --serve; not for hand use).
- *  --batch B     The runCells batch index a worker owns.
- *  --join DIR    Attach to an in-flight sweep whose results directory
- *                is DIR (possibly from another machine sharing the
- *                filesystem): steal pending cells from its claim
- *                queue, publish them, and exit. Own stdout is
- *                suppressed — the coordinator renders the figure.
- *
- * Related environment: DICE_SWEEP_RESULTS overrides the results
- * directory, DICE_SWEEP_MERGED names a canonical merged JSON document
- * written (serially or distributed) after every batch,
- * DICE_SWEEP_LEASE_STALE_S (default 30) is the lease staleness
- * threshold for requeueing a dead holder's cells, and
- * DICE_SWEEP_STATIC=1 reverts to the legacy static index-mod-M
- * sharding (no stealing) for A/B comparison. Every distributed batch
- * leaves <results>/sweep_summary.json describing how it executed:
- * scheduler, total stolen/requeued, per-participant cells, busy/span
- * seconds, utilization, merged per-phase latency percentiles
- * (phase_latency_us), the slowest cell, and anomaly warnings
- * (straggler threshold DICE_SWEEP_STRAGGLER_K, default 4 x p90).
- * DICE_SWEEP_EVENTS=1 additionally journals every
- * participant's events to <results>/events/<name>.jsonl and merges them
- * into a Chrome trace at <results>/timeline.json (override with
- * DICE_SWEEP_TIMELINE); see README "Sweep observability".
- */
-void initSweepMode(int argc, char **argv);
-
-/**
- * Simulate every cell (deduplicated by workload|cache_key) across a
+ * Simulate every cell (deduplicated by cellKey) across a
  * benchJobs()-sized thread pool, populating both memoization layers.
  * Results are bit-identical to a serial run: each cell's System is
  * self-contained and seeded from its own config.
@@ -212,10 +172,20 @@ bool loadResult(const std::filesystem::path &path, RunResult &r);
 /**
  * Stable golden digest of a result: FNV-1a over its canonical
  * serialization. Identical across processes and across cache
- * round-trips, so a distributed sweep can be diffed against a serial
- * one digest-by-digest.
+ * round-trips, so two runs of a sweep can be diffed digest-by-digest.
  */
 std::uint64_t resultDigest(const RunResult &r);
+
+/**
+ * A cell's identity in both result caches: FNV-1a (16 hex digits)
+ * over the cache version, @p workload, @p label and a canonical
+ * serialization of every SystemConfig field. Two configs that differ
+ * in any field get distinct keys even under one label; the label
+ * still counts, so an identical config can be re-run fresh under a
+ * new label.
+ */
+std::string cellKey(const std::string &workload, const SystemConfig &config,
+                    const std::string &label);
 
 } // namespace detail
 

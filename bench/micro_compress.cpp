@@ -12,7 +12,6 @@
 #include <cstdlib>
 #include <new>
 
-#include "compress/cpack.hpp"
 #include "compress/hybrid.hpp"
 #include "workloads/datagen.hpp"
 
@@ -97,7 +96,6 @@ private:
 };
 
 using dice::BdiCodec;
-using dice::CpackCodec;
 using dice::CompClass;
 using dice::DataGenerator;
 using dice::Encoded;
@@ -183,17 +181,6 @@ BM_PairSizeOnly(benchmark::State &state)
         benchmark::DoNotOptimize(codec.pairSizeBytes(a, b));
 }
 BENCHMARK(BM_PairSizeOnly)->DenseRange(0, 5);
-
-void
-BM_CpackCompress(benchmark::State &state)
-{
-    CpackCodec cpack;
-    const Line l =
-        lineOfClass(static_cast<CompClass>(state.range(0)), 1234);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(cpack.compress(l));
-}
-BENCHMARK(BM_CpackCompress)->DenseRange(0, 5);
 
 void
 BM_DataSynthesis(benchmark::State &state)

@@ -24,7 +24,6 @@
 #include <new>
 
 #include "common/simd.hpp"
-#include "common/sweep_events.hpp"
 #include "compress/hybrid.hpp"
 #include "core/tad.hpp"
 #include "harness.hpp"
@@ -423,35 +422,6 @@ runCheck()
         return 1;
     }
     std::printf("  OK\n");
-
-    // Sweep-journal hot-path hooks: with no journal open (the
-    // DICE_SWEEP_EVENTS-off default) every emitter must early-return
-    // before touching the heap, so instrumenting the per-cell loop is
-    // free for ordinary bench runs. Hard zero, not a budget.
-    {
-        dice::SweepJournal &journal = dice::SweepJournal::instance();
-        const std::string cell = "mcf_dice";
-        const std::size_t start =
-            g_heap_allocs.load(std::memory_order_relaxed);
-        for (int i = 0; i < 10'000; ++i) {
-            journal.claim(cell, false, false, 7);
-            journal.begin("simulate", cell);
-            journal.phase("simulate", cell, 0, 42);
-            journal.lease("refresh", cell, 3);
-            journal.publish(cell);
-        }
-        const std::size_t hook_allocs =
-            g_heap_allocs.load(std::memory_order_relaxed) - start;
-        std::printf("  disabled journal hooks: %zu allocs across 50k "
-                    "emits (budget 0)\n",
-                    hook_allocs);
-        if (hook_allocs != 0) {
-            std::printf("  FAIL: disabled sweep-journal emitters touch "
-                        "the heap\n");
-            return 1;
-        }
-        std::printf("  OK\n");
-    }
 
     // Trace-generation share of one live fig10-scale cell: the most
     // that replaying pre-generated streams could save a cell.

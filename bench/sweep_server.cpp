@@ -1,38 +1,28 @@
 /**
  * @file
- * Generic sweep driver for distributed runs.
+ * Flag-driven sweep driver.
  *
  * Unlike the figure/table binaries, which hard-code one paper plot,
- * this driver takes the sweep shape from the command line, so CI and
- * cluster jobs can run an arbitrary slice serially or sharded and
- * byte-diff the outputs:
+ * this driver takes the sweep shape from the command line, so CI can
+ * run an arbitrary slice and byte-diff the outputs of two runs (for
+ * example at DICE_BENCH_JOBS=1 and =4, or cold and warm):
  *
  *   sweep_server --sweep fig10 --workloads mcf,lbm --refs 2000
- *   sweep_server --serve 3 --sweep fig10 ...    # 3-worker distributed
- *   sweep_server --join DIR --sweep fig10 ...   # attach extra hands
  *
- * --serve M spawns M workers that drain a shared work-stealing claim
- * queue (see bench/sweep_queue.hpp); --join RESULTS_DIR attaches this
- * process — from this host or any other sharing the filesystem — to
- * an in-flight sweep's queue as an extra worker (pass the same
- * --sweep/--workloads/--refs so it enumerates the same cells).
- * DICE_SWEEP_STATIC=1 selects the legacy static index sharding for
- * scheduler A/B comparisons.
- *
- * Flags (besides the --serve/--worker/--batch/--join sweep flags):
+ * Flags:
  *   --sweep NAME      Organization set: "fig10" (base/tsi/bai/dice/
  *                     2x2x, the default), "quick" (base/dice), or
  *                     "zoo" (every registry organization: base/tsi/
  *                     bai/dice/scc/banshee/touche). The fig10 cells
- *                     keep the same cache keys in both sweeps, so
- *                     their digest lines byte-diff clean across them.
+ *                     keep the same labels and configs in both sweeps,
+ *                     so their digest lines byte-diff clean across
+ *                     them.
  *   --workloads CSV   Comma-separated workload names (default: the
  *                     full 26-workload evaluation suite).
  *   --refs N          Shorthand for DICE_BENCH_REFS=N.
  *
- * stdout is one "workload org digest" line per cell, in a fixed
- * order independent of execution mode — identical bytes for a serial
- * and a sharded run of the same sweep.
+ * stdout is one "workload org digest" line per cell, in a fixed order
+ * independent of the job count.
  */
 
 #include <cstdio>
@@ -89,10 +79,6 @@ main(int argc, char **argv)
 #endif
         }
     }
-    // After --refs: spawned workers re-parse the same flags, and the
-    // env must be set before any SystemConfig is built below.
-    initSweepMode(argc, argv);
-
     std::vector<OrgCell> orgs;
     const SystemConfig base = configureBaseline(defaultBase());
     if (sweep == "fig10") {
@@ -109,8 +95,8 @@ main(int argc, char **argv)
         orgs.push_back({base, "base"});
         orgs.push_back({configureDice(defaultBase()), "dice"});
     } else if (sweep == "zoo") {
-        // One column per registry organization. The first five reuse
-        // the fig10 builders and cache keys, so a zoo sweep's digest
+        // One column per registry organization. The first four reuse
+        // the fig10 builders and labels, so a zoo sweep's digest
         // lines for them are byte-identical to a fig10 sweep's.
         orgs.push_back({base, "base"});
         orgs.push_back({configureCompressed(defaultBase(),

@@ -17,9 +17,8 @@ using namespace dice;
 using namespace dice::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    initSweepMode(argc, argv);
     printHeader("DICE insertion-threshold sensitivity",
                 "DICE (ISCA'17) Table 4");
 

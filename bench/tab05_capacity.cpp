@@ -16,9 +16,8 @@ using namespace dice;
 using namespace dice::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    initSweepMode(argc, argv);
     printHeader("Effective capacity of the compressed DRAM cache",
                 "DICE (ISCA'17) Table 5");
 

@@ -15,9 +15,8 @@ using namespace dice;
 using namespace dice::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    initSweepMode(argc, argv);
     printHeader("Effect of DICE on L3 hit rate",
                 "DICE (ISCA'17) Table 6");
 

@@ -18,9 +18,8 @@ using namespace dice;
 using namespace dice::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    initSweepMode(argc, argv);
     printHeader("DICE vs wider fetch and next-line prefetch",
                 "DICE (ISCA'17) Table 7");
 

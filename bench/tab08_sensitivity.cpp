@@ -54,9 +54,8 @@ withDoubleBandwidth(SystemConfig cfg)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    initSweepMode(argc, argv);
     printHeader("DICE sensitivity to L4 capacity / bandwidth / latency",
                 "DICE (ISCA'17) Table 8");
 

@@ -294,43 +294,6 @@ progressEnabled()
 }
 
 std::string
-sweepResultsDir()
-{
-    return envOr("DICE_SWEEP_RESULTS", "");
-}
-
-std::string
-sweepMergedPath()
-{
-    return envOr("DICE_SWEEP_MERGED", "");
-}
-
-bool
-sweepEventsEnabled()
-{
-    return envFlag("DICE_SWEEP_EVENTS");
-}
-
-std::string
-sweepTimelinePath()
-{
-    return envOr("DICE_SWEEP_TIMELINE", "");
-}
-
-double
-sweepStragglerK()
-{
-    const char *v = std::getenv("DICE_SWEEP_STRAGGLER_K");
-    if (v != nullptr && *v != '\0') {
-        char *end = nullptr;
-        const double k = std::strtod(v, &end);
-        if (end != v && k > 0.0)
-            return k;
-    }
-    return 4.0;
-}
-
-std::string
 sanitizeFileStem(const std::string &name)
 {
     std::string out;

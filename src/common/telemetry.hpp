@@ -129,29 +129,6 @@ bool decisionTraceEnabled();
 /** DICE_PROGRESS=1: bench-harness heartbeat/progress line. */
 bool progressEnabled();
 
-/** DICE_SWEEP_RESULTS: directory for distributed-sweep worker output
- *  (per-cell docs, heartbeats, summaries). "" = harness default
- *  (<bench cache dir>/results). */
-std::string sweepResultsDir();
-
-/** DICE_SWEEP_MERGED: path for the canonical merged sweep document
- *  ("" = not written). */
-std::string sweepMergedPath();
-
-/** DICE_SWEEP_EVENTS=1: every sweep participant journals structured
- *  events into <results>/events/ and the coordinator merges them into
- *  one Chrome timeline at sweep end (DICE_SWEEP_EVENTS=0 / unset is
- *  the zero-cost off state). */
-bool sweepEventsEnabled();
-
-/** DICE_SWEEP_TIMELINE: path for the merged Chrome trace-event
- *  timeline ("" = <results>/timeline.json). */
-std::string sweepTimelinePath();
-
-/** DICE_SWEEP_STRAGGLER_K: a cell slower than k x p90 of the batch's
- *  cell latencies is flagged as a straggler (default 4.0). */
-double sweepStragglerK();
-
 /** Make @p name safe as a file stem ([A-Za-z0-9._-], rest -> '_'). */
 std::string sanitizeFileStem(const std::string &name);
 

@@ -2,8 +2,9 @@
  * @file
  * Tests of the parallel bench engine: a parallel sweep must produce
  * bit-identical results to a serial one, its cells must generate
- * their reference streams live, and the persistent result cache must
- * survive concurrent writers and reject corrupt files.
+ * their reference streams live, and the result caches must key cells
+ * by their full config, survive concurrent writers and reject corrupt
+ * files.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -145,6 +148,67 @@ TEST(BenchParallel, SweepCellsGenerateLiveAndMatchDirectRuns)
                 << w << " / " << org.cache_key;
         }
     }
+}
+
+TEST(BenchCache, KeyCoversEveryConfigFieldUnderOneLabel)
+{
+    // One workload, one label, three configs: the default, one DRAM
+    // timing field changed, and only the L3 size changed. Each must be
+    // its own cell with its own cache file; re-running an equal
+    // config must hit both caches.
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) /
+        ("dice_cellkey." + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    setenv("DICE_BENCH_CACHE_DIR", dir.c_str(), 1);
+    unsetenv("DICE_BENCH_NO_CACHE");
+    setenv("DICE_BENCH_REFS", "1500", 1);
+    setenv("DICE_BENCH_JOBS", "2", 1);
+
+    const std::string w = rateNames()[0];
+    const std::string label = "key:dice";
+    const SystemConfig a = configureDice(defaultBase());
+    SystemConfig timing = a;
+    timing.mem_timing.tRCD *= 2;
+    SystemConfig l3 = a;
+    l3.l3.size_bytes *= 4;
+
+    EXPECT_NE(detail::cellKey(w, a, label),
+              detail::cellKey(w, timing, label));
+    EXPECT_NE(detail::cellKey(w, a, label), detail::cellKey(w, l3, label));
+    EXPECT_EQ(detail::cellKey(w, a, label),
+              detail::cellKey(w, configureDice(defaultBase()), label));
+    EXPECT_NE(detail::cellKey(w, a, label),
+              detail::cellKey(w, a, "key:other"));
+
+    runCells({{w, a, label}, {w, timing, label}, {w, l3, label}});
+    const std::uint64_t da = detail::resultDigest(runWorkload(w, a, label));
+    const std::uint64_t dt =
+        detail::resultDigest(runWorkload(w, timing, label));
+    const std::uint64_t dl = detail::resultDigest(runWorkload(w, l3, label));
+    EXPECT_NE(da, dt);
+    EXPECT_NE(da, dl);
+    EXPECT_NE(dt, dl);
+
+    // Three cache files, each holding one of the three results.
+    std::set<std::uint64_t> on_disk;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        RunResult r;
+        ASSERT_TRUE(detail::loadResult(entry.path(), r)) << entry.path();
+        on_disk.insert(detail::resultDigest(r));
+    }
+    EXPECT_EQ(on_disk, (std::set<std::uint64_t>{da, dt, dl}));
+
+    // An equal config is the same cell: the memo returns the stored
+    // result and no file is added.
+    const RunResult &again =
+        runWorkload(w, configureDice(defaultBase()), label);
+    EXPECT_EQ(&again, &runWorkload(w, a, label));
+    EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                            std::filesystem::directory_iterator()),
+              3);
+    std::filesystem::remove_all(dir);
+    unsetenv("DICE_BENCH_CACHE_DIR");
 }
 
 TEST(BenchCache, SaveLoadRoundTripsAllFields)

@@ -116,21 +116,46 @@ TEST(Stats, CounterBasics)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Stats, HistogramBucketsAndMoments)
+TEST(LogHistogram, BucketEdges)
 {
-    Histogram h(4, 10); // buckets [0,10) [10,20) [20,30) [30,40) +ovf
-    h.sample(5);
-    h.sample(15);
-    h.sample(15);
-    h.sample(100);
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(1), 2u);
-    EXPECT_EQ(h.bucket(4), 1u); // overflow
-    EXPECT_EQ(h.max(), 100u);
-    EXPECT_DOUBLE_EQ(h.mean(), 135.0 / 4);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(LogHistogram::bucketIndex(0), 0u);
+    EXPECT_EQ(LogHistogram::bucketIndex(1), 1u);
+    EXPECT_EQ(LogHistogram::bucketIndex(2), 2u);
+    EXPECT_EQ(LogHistogram::bucketIndex(3), 2u);
+    EXPECT_EQ(LogHistogram::bucketIndex(4), 3u);
+    EXPECT_EQ(LogHistogram::bucketIndex(~std::uint64_t{0}), 64u);
+
+    // Every value lands in [lo, hi) of its own bucket.
+    for (std::uint64_t v : {std::uint64_t{0}, std::uint64_t{1},
+                            std::uint64_t{7}, std::uint64_t{4096},
+                            std::uint64_t{1} << 40}) {
+        const std::uint32_t i = LogHistogram::bucketIndex(v);
+        EXPECT_GE(v, LogHistogram::bucketLo(i)) << v;
+        if (i < 64) {
+            EXPECT_LT(v, LogHistogram::bucketHi(i)) << v;
+        }
+    }
+}
+
+TEST(LogHistogram, PercentilesClampedToObservedRange)
+{
+    LogHistogram h;
+    for (int i = 0; i < 100; ++i)
+        h.sample(10); // all in bucket [8, 16)
+    // Interpolation may wander inside the bucket, but the clamp pins
+    // single-valued distributions exactly.
+    EXPECT_DOUBLE_EQ(h.percentile(0.5), 10.0);
+    EXPECT_DOUBLE_EQ(h.percentile(0.99), 10.0);
+
+    LogHistogram empty;
+    EXPECT_DOUBLE_EQ(empty.percentile(0.9), 0.0);
+
+    LogHistogram spread;
+    for (int i = 0; i < 99; ++i)
+        spread.sample(8);
+    spread.sample(1 << 20);
+    EXPECT_LT(spread.percentile(0.5), 16.0);
+    EXPECT_GT(spread.percentile(0.999), 1000.0);
 }
 
 TEST(Stats, StatGroupDumpAndGet)

@@ -26,7 +26,6 @@
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "compress/bdi.hpp"
-#include "compress/cpack.hpp"
 #include "compress/fpc.hpp"
 #include "compress/hybrid.hpp"
 #include "compress/zca.hpp"
@@ -704,9 +703,8 @@ TEST(CodecSizeParity, SizeOnlyRouteMatchesCompress)
     const ZcaCodec zca;
     const FpcCodec fpc;
     const BdiCodec bdi;
-    const CpackCodec cpack;
     const HybridCodec hybrid;
-    const Codec *codecs[] = {&zca, &fpc, &bdi, &cpack, &hybrid};
+    const Codec *codecs[] = {&zca, &fpc, &bdi, &hybrid};
 
     underBothBackends([&](bool scalar) {
         Fuzz fz(scalar ? 0xBA7C4 : 0xC0DEC);

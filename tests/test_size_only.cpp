@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "compress/cpack.hpp"
 #include "compress/hybrid.hpp"
 #include "workloads/datagen.hpp"
 
@@ -81,11 +80,6 @@ TEST(SizeOnly, FpcMatchesFullCompress)
 TEST(SizeOnly, BdiMatchesFullCompress)
 {
     expectSizeMatchesEncoding(BdiCodec{});
-}
-
-TEST(SizeOnly, CpackMatchesFullCompress)
-{
-    expectSizeMatchesEncoding(CpackCodec{});
 }
 
 TEST(SizeOnly, HybridMatchesFullCompress)

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -130,7 +131,7 @@ TEST(DecisionRing, SingleSlotRingHoldsTheLatest)
 }
 
 // ---------------------------------------------------------------------
-// StatGroup / Histogram guards (satellites)
+// StatGroup guards
 
 TEST(StatsGuards, DuplicateStatNamePanics)
 {
@@ -140,11 +141,6 @@ TEST(StatsGuards, DuplicateStatNamePanics)
     EXPECT_DEATH(g.addCounter("hits", c), "duplicate stat");
     EXPECT_DEATH(g.addFormula("hits", [] { return 0.0; }),
                  "duplicate stat");
-}
-
-TEST(StatsGuards, HistogramZeroBucketWidthPanics)
-{
-    EXPECT_DEATH(Histogram(4, 0), "bucket_width");
 }
 
 // ---------------------------------------------------------------------
@@ -177,6 +173,42 @@ TEST(StatRegistry, FlattenReadsLiveCounters)
     // Providers re-materialize the group, so later reads see updates.
     ++hits;
     EXPECT_EQ(reg.flatten()[0].second, 2.0);
+}
+
+TEST(StatRegistry, LogHistogramExportsPercentilesInFlattenAndJson)
+{
+    LogHistogram lat;
+    for (std::uint64_t v = 1; v <= 100; ++v)
+        lat.sample(v);
+    StatRegistry reg;
+    reg.add("dram", [&lat] {
+        StatGroup g("dram");
+        g.addLogHistogram("lat", lat);
+        return g;
+    });
+
+    std::map<std::string, double> rows;
+    for (const auto &[name, value] : reg.flatten())
+        rows[name] = value;
+    EXPECT_EQ(rows.at("dram.lat.count"), 100.0);
+    EXPECT_EQ(rows.at("dram.lat.sum"), 5050.0);
+    EXPECT_EQ(rows.at("dram.lat.max"), 100.0);
+    EXPECT_EQ(rows.at("dram.lat.p50"), lat.percentile(0.50));
+    EXPECT_EQ(rows.at("dram.lat.p90"), lat.percentile(0.90));
+    EXPECT_EQ(rows.at("dram.lat.p99"), lat.percentile(0.99));
+    EXPECT_LT(rows.at("dram.lat.p50"), rows.at("dram.lat.p90"));
+    EXPECT_LE(rows.at("dram.lat.p90"), rows.at("dram.lat.p99"));
+    EXPECT_LE(rows.at("dram.lat.p99"), 100.0);
+    // Samples 64..100 fill bucket 7, [64, 128).
+    EXPECT_EQ(rows.at("dram.lat.bucket7.lo"), 64.0);
+    EXPECT_EQ(rows.at("dram.lat.bucket7.hi"), 128.0);
+    EXPECT_EQ(rows.at("dram.lat.bucket7.count"), 37.0);
+
+    auto doc = testjson::parse(reg.toJson());
+    const auto &dram = doc->at("groups").at("dram");
+    for (const char *q : {"lat.p50", "lat.p90", "lat.p99"})
+        EXPECT_EQ(dram.at(q).number, rows.at(std::string("dram.") + q))
+            << q;
 }
 
 TEST(StatRegistry, JsonRoundTripMatchesGroupGet)
